@@ -3,7 +3,7 @@
 Three measurements pin the multi-link scaling story:
 
 1. Delta-vs-callback joint scoring at N=256, L=3: a random flip sequence
-   scored by the :class:`~repro.core.basis.MultiLinkDeltaEvaluator`
+   scored by the stacked :class:`~repro.core.basis.DeltaEvaluator`
    (O(K·L) per flip) versus naively re-evaluating every link's full CFR
    (O(N·K·L) — what the callback path pays per probe).  Acceptance:
    >= 5x at N=256 (measured ~16x; the ratio grows with N), with
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.reporting import ReportTable
-from repro.core import MultiLinkDeltaEvaluator, MultiTenantController
+from repro.core import DeltaEvaluator, MultiTenantController
 from repro.experiments import build_large_array_setup
 from repro.experiments.large_array import make_searcher
 from repro.experiments.multi_user import build_user_links
@@ -60,7 +60,7 @@ def test_bench_joint(once):
             (element, int(rng.integers(0, space.state_counts[element])))
         )
 
-    multi = MultiLinkDeltaEvaluator(evaluators)
+    multi = DeltaEvaluator(evaluators)
     start = time.perf_counter()
     delta_scores = [multi.flip(element, state) for element, state in flips]
     delta_s = time.perf_counter() - start

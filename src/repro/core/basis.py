@@ -69,7 +69,6 @@ _BATCH_POINTS = counter_handle("core.basis.batch_points")
 _EVALUATIONS = counter_handle("core.basis.evaluations")
 _CONFIGS_EVALUATED = counter_handle("core.basis.configurations_evaluated")
 _DELTA_EVALS = counter_handle("search.delta_evals")
-_MULTILINK_PROBES = counter_handle("search.multilink_probes")
 
 #: Largest configuration space the vectorized exhaustive path will
 #: materialize as an (M^N, N) index table.  4^10 = 2^20 rows of N intp
@@ -701,268 +700,72 @@ class BasisEvaluator:
         resync_interval: int = 4096,
     ) -> "DeltaEvaluator":
         """An incrementally-scored working copy of this evaluator."""
-        return DeltaEvaluator(self, initial=initial, resync_interval=resync_interval)
+        return DeltaEvaluator([self], initial=initial, resync_interval=resync_interval)
+
+
+def _scoring_key(evaluator: BasisEvaluator) -> tuple:
+    """Everything besides the basis that turns a CFR into a link score."""
+    basis = evaluator.basis
+    mask = None if evaluator.mask is None else np.asarray(evaluator.mask).tobytes()
+    return (
+        evaluator.objective,
+        evaluator.tx_power_dbm,
+        evaluator.noise_figure_db,
+        basis.num_subcarriers,
+        basis.bandwidth_hz,
+        mask,
+    )
 
 
 class DeltaEvaluator:
-    """Incremental configuration scoring via O(K) per-element delta updates.
+    """Incremental scoring of one shared configuration against L links.
 
-    Because the basis CFR is linear in per-element state,
+    Because each link's basis CFR is linear in per-element state,
 
-        H(f; c) = H_0(f) + sum_n E[n, c_n, f],
+        H_l(f; c) = H_0,l(f) + sum_n E_l[n, c_n, f],
 
-    changing one element's state only moves the running element sum by
-    ``E[n, new] - E[n, old]`` — O(K) work regardless of N — instead of the
-    O(N*K) gather the full path (:meth:`ChannelBasis.element_sum`) redoes
-    per candidate.  This is the kernel that makes search cost scale with
-    elements *touched* rather than configurations *enumerated*.
+    changing one element's state only moves link ``l``'s running element
+    sum by ``E_l[n, new] - E_l[n, old]`` — O(K·L) work regardless of N —
+    instead of the O(N*K) gather the full path
+    (:meth:`ChannelBasis.element_sum`) redoes per candidate.  This is the
+    kernel that makes search cost scale with elements *touched* rather
+    than configurations *enumerated*.
+
+    Every link sees the same array, so the links share one working
+    configuration and their state tensors are stacked as
+    ``T[n, m, l, k]``: one element's states for every link sit in one
+    contiguous block.  A flip is one fancy-index across all links, and a
+    scan of one element reads its whole (M, L, K) block in one gather.  A
+    single link is L = 1 (:meth:`BasisEvaluator.delta`); the §2 joint
+    strategy (:func:`repro.core.joint.optimize_joint`) scores L links at
+    once, which is what makes it runnable with
+    :class:`~repro.core.search.GreedyCoordinateDescent` /
+    :class:`~repro.core.search.RFocusMajoritySearch` on wall-sized arrays.
+    The links must share one configuration space, objective, transmit
+    power, noise figure, subcarrier grid and mask; anything else raises
+    ``ValueError``.
+
+    The score is ``aggregate(per_link_scores, weights)`` — any
+    :data:`~repro.core.objectives.LinkAggregate` (weighted mean,
+    worst-link max-min, lexicographic); ``aggregate=None`` means the
+    weighted mean, matching :meth:`repro.core.joint.JointResult.aggregate_score`,
+    which for a single link is that link's own score.
 
     The evaluator keeps two states: a *working* configuration mutated by
     :meth:`flip`/:meth:`flip_many`, and a *committed* snapshot restored
     bit-exactly by :meth:`revert` and advanced by :meth:`commit`.  Every
-    ``resync_interval`` applied flips the running sum is recomputed from
+    ``resync_interval`` applied flips the running sums are recomputed from
     scratch at a deterministic point, bounding floating-point drift so
     delta-scored values stay within 1e-9 of the full path over arbitrarily
     long flip sequences (``tests/test_delta_evaluator.py``).
 
-    Bookkeeping mirrors ``_CountingScore``: ``num_scores`` counts scored
-    probes (the over-the-air measurement proxy; reverts are free) and
-    ``trajectory`` records the best-so-far score after each probe.
-    """
-
-    def __init__(
-        self,
-        evaluator: BasisEvaluator,
-        initial: Optional[ArrayConfiguration] = None,
-        resync_interval: int = 4096,
-    ) -> None:
-        if resync_interval <= 0:
-            raise ValueError(
-                f"resync_interval must be positive, got {resync_interval}"
-            )
-        self._evaluator = evaluator
-        basis = evaluator.basis
-        self._space = basis.space
-        # Scoring only ever sees masked subcarriers, and every SNR op is
-        # elementwise — so the mask is applied once to the tensor and the
-        # ambient CFR up front, not per probe.  Scores are elementwise
-        # identical to masking after the fact.
-        if evaluator.mask is None:
-            self._tensor = basis.state_tensor
-            self._ambient = basis.ambient_cfr()
-        else:
-            self._tensor = np.ascontiguousarray(
-                basis.state_tensor[:, :, evaluator.mask]
-            )
-            self._ambient = basis.ambient_cfr()[evaluator.mask]
-        self._resync_interval = int(resync_interval)
-        self._flips_since_resync = 0
-        if initial is None:
-            indices = np.zeros(self._space.num_elements, dtype=np.intp)
-        else:
-            self._space.validate(initial)
-            indices = np.array(initial.indices, dtype=np.intp)
-        self._indices = indices
-        # Per-score constants of BasisEvaluator._snr_db / snr_db_from_cfr,
-        # hoisted out of the per-flip path.  The operation order below in
-        # _snr_db_fast is exactly the library's (p * |H|^2 / n, floor,
-        # 10*log10), so delta scores are bit-identical to the full path's
-        # — only the constant recomputation and dispatch overhead go.
-        self._subcarrier_power_w = float(
-            dbm_to_watts(evaluator.tx_power_dbm) / basis.num_subcarriers
-        )
-        self._noise_w = thermal_noise_power_w(
-            basis.bandwidth_hz / basis.num_subcarriers,
-            evaluator.noise_figure_db,
-        )
-        self._sum = self._full_sum()
-        self._score = self._score_of(self._sum)
-        self._committed_indices = self._indices.copy()
-        self._committed_sum = self._sum.copy()
-        self._committed_score = self._score
-        self.num_scores = 1
-        self._best = self._score
-        self.trajectory: list[float] = [self._score]
-
-    # -- state views ----------------------------------------------------
-    @property
-    def space(self) -> ConfigurationSpace:
-        """The configuration space being searched."""
-        return self._space
-
-    @property
-    def score(self) -> float:
-        """Objective value of the current working configuration."""
-        return self._score
-
-    @property
-    def configuration(self) -> ArrayConfiguration:
-        """The current working configuration."""
-        return ArrayConfiguration(tuple(int(i) for i in self._indices))
-
-    @property
-    def committed_configuration(self) -> ArrayConfiguration:
-        """The configuration :meth:`revert` falls back to."""
-        return ArrayConfiguration(tuple(int(i) for i in self._committed_indices))
-
-    # -- internals ------------------------------------------------------
-    def _full_sum(self) -> np.ndarray:
-        rows = np.arange(self._space.num_elements)
-        return self._tensor[rows, self._indices, :].sum(axis=0)
-
-    def _snr_db_fast(self, cfr: np.ndarray) -> np.ndarray:
-        """BasisEvaluator._snr_db with the per-call constants precomputed.
-
-        ``cfr`` is already mask-restricted (the working tensor is); the
-        operation order matches :func:`~repro.em.channel.snr_db_from_cfr`
-        exactly, so values are bit-identical to the full path's.
-        """
-        snr_linear = self._subcarrier_power_w * np.abs(cfr) ** 2 / self._noise_w
-        return 10.0 * np.log10(np.maximum(snr_linear, 1e-30))
-
-    def _score_of(self, element_sum: np.ndarray) -> float:
-        snr = self._snr_db_fast(self._ambient + element_sum)
-        return float(self._evaluator.objective(snr))
-
-    def _record(self, value: float) -> None:
-        self.num_scores += 1
-        _DELTA_EVALS.inc()
-        if value > self._best:
-            self._best = value
-        self.trajectory.append(self._best)
-
-    def _count_flips(self, applied: int) -> None:
-        self._flips_since_resync += applied
-        if self._flips_since_resync >= self._resync_interval:
-            self._sum = self._full_sum()
-            self._flips_since_resync = 0
-
-    # -- mutation -------------------------------------------------------
-    def flip(self, element: int, state: int) -> float:
-        """Set one element's state and return the re-scored objective."""
-        if not 0 <= element < self._space.num_elements:
-            raise IndexError(f"element {element} out of range")
-        if not 0 <= state < self._space.state_counts[element]:
-            raise ValueError(
-                f"state {state} out of range for element {element} "
-                f"({self._space.state_counts[element]} states)"
-            )
-        previous = int(self._indices[element])
-        if state != previous:
-            self._sum += self._tensor[element, state] - self._tensor[element, previous]
-            self._indices[element] = state
-            self._count_flips(1)
-        self._score = self._score_of(self._sum)
-        self._record(self._score)
-        return self._score
-
-    def flip_many(
-        self,
-        elements: Sequence[int],
-        states: Sequence[int],
-    ) -> float:
-        """Flip several *distinct* elements at once (one scored probe).
-
-        The RFocus perturbation primitive: one random multi-element
-        perturbation costs one sounding, not N.  ``elements`` must not
-        contain duplicates (the batched gather reads all previous states
-        before any write).
-        """
-        element_idx = np.asarray(elements, dtype=np.intp)
-        state_idx = np.asarray(states, dtype=np.intp)
-        if element_idx.shape != state_idx.shape:
-            raise ValueError("elements and states must have matching shapes")
-        if element_idx.size:
-            previous = self._indices[element_idx]
-            changed = state_idx != previous
-            if np.any(changed):
-                moved = element_idx[changed]
-                self._sum += (
-                    self._tensor[moved, state_idx[changed]]
-                    - self._tensor[moved, previous[changed]]
-                ).sum(axis=0)
-                self._indices[moved] = state_idx[changed]
-                self._count_flips(int(changed.sum()))
-        self._score = self._score_of(self._sum)
-        self._record(self._score)
-        return self._score
-
-    def set_configuration(self, configuration: ArrayConfiguration) -> float:
-        """Jump to an arbitrary configuration (full O(N*K) recompute)."""
-        self._space.validate(configuration)
-        self._indices = np.array(configuration.indices, dtype=np.intp)
-        self._sum = self._full_sum()
-        self._flips_since_resync = 0
-        self._score = self._score_of(self._sum)
-        self._record(self._score)
-        return self._score
-
-    def revert(self) -> float:
-        """Bit-exact rollback to the committed configuration (free)."""
-        self._indices = self._committed_indices.copy()
-        self._sum = self._committed_sum.copy()
-        self._score = self._committed_score
-        return self._score
-
-    def commit(self) -> float:
-        """Make the working configuration the new revert point."""
-        self._committed_indices = self._indices.copy()
-        self._committed_sum = self._sum.copy()
-        self._committed_score = self._score
-        return self._score
-
-    # -- batched per-element probing ------------------------------------
-    def scores_for_element(self, element: int) -> np.ndarray:
-        """Objective value for every state of one element, vectorized.
-
-        The greedy-descent kernel: candidate sums for all M states of
-        ``element`` are formed in one (M, K) broadcast and scored in one
-        batched SNR evaluation.  Counts M-1 probes (the current state's
-        score is already known).
-        """
-        if not 0 <= element < self._space.num_elements:
-            raise IndexError(f"element {element} out of range")
-        count = self._space.state_counts[element]
-        current = int(self._indices[element])
-        base = self._sum - self._tensor[element, current]
-        candidates = base[None, :] + self._tensor[element, :count, :]
-        snr = self._snr_db_fast(self._ambient[None, :] + candidates)
-        scores = np.array(
-            [float(self._evaluator.objective(row)) for row in snr]
-        )
-        for m in range(count):
-            if m != current:
-                self._record(float(scores[m]))
-        return scores
-
-
-class MultiLinkDeltaEvaluator:
-    """Joint multi-link scoring via one cached element sum *per link*.
-
-    The §2 joint strategy scores one shared configuration against L links
-    at once.  Against callback-measured links that costs L soundings per
-    candidate and — worse — O(N*K) per link to recompute each CFR.  But
-    every link's basis shares the *same* per-element state (one array, one
-    configuration), and each link's CFR is linear in that state, so this
-    evaluator keeps one :class:`DeltaEvaluator` running sum per link over
-    a shared working configuration: a single flip moves every link's sum
-    by ``E_l[n, new] - E_l[n, old]`` — O(K·L) total, independent of N.
-    That is what makes :func:`repro.core.joint.optimize_joint` runnable
-    with :class:`~repro.core.search.GreedyCoordinateDescent` /
-    :class:`~repro.core.search.RFocusMajoritySearch` on wall-sized arrays.
-
-    The joint score is ``aggregate(per_link_scores, weights)`` — any
-    :data:`~repro.core.objectives.LinkAggregate` (weighted mean, worst-link
-    max-min, lexicographic); ``aggregate=None`` means the weighted mean,
-    matching :meth:`repro.core.joint.JointResult.aggregate_score`.
-
-    The searcher-facing protocol (``space`` / ``score`` / ``flip`` /
-    ``flip_many`` / ``set_configuration`` / ``revert`` / ``commit`` /
-    ``scores_for_element`` / ``num_scores`` / ``trajectory``) matches
-    :class:`DeltaEvaluator`, so every ``run_delta`` searcher drives it
-    unchanged.  ``num_scores`` counts *joint* probes — each one sounds all
-    L links, which callers charging over-the-air measurements multiply by
-    ``num_links`` (see ``optimize_joint_basis``).
+    Bookkeeping matches :class:`~repro.core.search.CountingScore`, the
+    callback twin of this protocol: ``num_scores`` counts scored probes
+    (the over-the-air measurement proxy; reverts are free) and
+    ``trajectory`` records the best-so-far score after each probe.  Each
+    probe sounds every link once, so callers charging over-the-air
+    measurements multiply ``num_scores`` by the number of links (see
+    :func:`repro.core.joint.optimize_joint`).
     """
 
     def __init__(
@@ -975,13 +778,24 @@ class MultiLinkDeltaEvaluator:
     ) -> None:
         if not evaluators:
             raise ValueError("need at least one link evaluator")
-        spaces = [evaluator.basis.space for evaluator in evaluators]
-        for space in spaces[1:]:
-            if space.state_counts != spaces[0].state_counts:
+        if resync_interval <= 0:
+            raise ValueError(
+                f"resync_interval must be positive, got {resync_interval}"
+            )
+        first = evaluators[0]
+        space = first.basis.space
+        for evaluator in evaluators[1:]:
+            if evaluator.basis.space.state_counts != space.state_counts:
                 raise ValueError(
                     "all link bases must share one configuration space "
-                    f"(got state counts {spaces[0].state_counts} vs "
-                    f"{space.state_counts}); every link sees the same array"
+                    f"(got state counts {space.state_counts} vs "
+                    f"{evaluator.basis.space.state_counts}); every link sees "
+                    "the same array"
+                )
+            if _scoring_key(evaluator) != _scoring_key(first):
+                raise ValueError(
+                    "all links must share one objective, transmit power, "
+                    "noise figure, subcarrier grid and mask"
                 )
         if weights is None:
             weight_vector = np.ones(len(evaluators))
@@ -1002,12 +816,51 @@ class MultiLinkDeltaEvaluator:
         self._weights = weight_vector
         self._weight_total = float(weight_vector.sum())
         self._aggregate = aggregate
-        self._deltas = [
-            evaluator.delta(initial=initial, resync_interval=resync_interval)
+        self._objective = first.objective
+        self._space = space
+        self._state_counts = np.array(space.state_counts, dtype=np.uintp)
+        # Scoring only ever sees masked subcarriers, and every SNR op is
+        # elementwise — so the mask is applied once to the tensors and the
+        # ambient CFRs up front, not per probe.  Scores are elementwise
+        # identical to masking after the fact.
+        keep = slice(None) if first.mask is None else first.mask
+        tensors = [
+            np.ascontiguousarray(evaluator.basis.state_tensor[:, :, keep])
             for evaluator in evaluators
         ]
-        self._space = spaces[0]
-        self._score = self._aggregate_of(self._link_scores())
+        # T[n, m, l, k]; a single link is a view, not a copy.
+        if len(tensors) == 1:
+            self._tensor = tensors[0][:, :, None, :]
+        else:
+            self._tensor = np.stack(tensors, axis=2)
+        self._ambient = np.stack(
+            [evaluator.basis.ambient_cfr()[keep] for evaluator in evaluators]
+        )
+        self._resync_interval = int(resync_interval)
+        self._flips_since_resync = 0
+        if initial is None:
+            indices = np.zeros(space.num_elements, dtype=np.intp)
+        else:
+            space.validate(initial)
+            indices = np.array(initial.indices, dtype=np.intp)
+        self._indices = indices
+        # Per-score constants of BasisEvaluator._snr_db / snr_db_from_cfr,
+        # hoisted out of the per-flip path.  The operation order below in
+        # _snr_db_fast is exactly the library's (p * |H|^2 / n, floor,
+        # 10*log10), so delta scores are bit-identical to the full path's
+        # — only the constant recomputation and dispatch overhead go.
+        self._subcarrier_power_w = float(
+            dbm_to_watts(first.tx_power_dbm) / first.basis.num_subcarriers
+        )
+        self._noise_w = thermal_noise_power_w(
+            first.basis.bandwidth_hz / first.basis.num_subcarriers,
+            first.noise_figure_db,
+        )
+        self._sum = self._full_sum()
+        self._rescore()
+        self._committed_indices = self._indices.copy()
+        self._committed_sum = self._sum.copy()
+        self._committed_links = self._links
         self._committed_score = self._score
         self.num_scores = 1
         self._best = self._score
@@ -1016,12 +869,8 @@ class MultiLinkDeltaEvaluator:
     # -- state views ----------------------------------------------------
     @property
     def space(self) -> ConfigurationSpace:
-        """The shared configuration space being searched."""
+        """The configuration space every link shares."""
         return self._space
-
-    @property
-    def num_links(self) -> int:
-        return len(self._deltas)
 
     @property
     def score(self) -> float:
@@ -1030,96 +879,207 @@ class MultiLinkDeltaEvaluator:
 
     @property
     def configuration(self) -> ArrayConfiguration:
-        """The current working configuration (shared by every link)."""
-        return self._deltas[0].configuration
+        """The current working configuration."""
+        return ArrayConfiguration(tuple(int(i) for i in self._indices))
 
     @property
     def committed_configuration(self) -> ArrayConfiguration:
         """The configuration :meth:`revert` falls back to."""
-        return self._deltas[0].committed_configuration
+        return ArrayConfiguration(tuple(int(i) for i in self._committed_indices))
 
     def per_link_scores(self) -> np.ndarray:
         """Each link's objective at the current working configuration."""
-        return self._link_scores()
+        return self._links.copy()
 
     # -- internals ------------------------------------------------------
-    def _link_scores(self) -> np.ndarray:
-        return np.array([delta.score for delta in self._deltas])
+    def _full_sum(self) -> np.ndarray:
+        rows = np.arange(self._space.num_elements)
+        return self._tensor[rows, self._indices].sum(axis=0)
 
-    def _aggregate_of(self, scores: np.ndarray) -> float:
-        if self._aggregate is None:
-            return float(np.dot(self._weights, scores) / self._weight_total)
-        return float(self._aggregate(scores, self._weights))
+    def _snr_db_fast(self, cfr: np.ndarray) -> np.ndarray:
+        """BasisEvaluator._snr_db with the per-call constants precomputed.
+
+        ``cfr`` is already mask-restricted (the working tensor is); the
+        operation order matches :func:`~repro.em.channel.snr_db_from_cfr`
+        exactly, so values are bit-identical to the full path's.
+        """
+        snr_linear = self._subcarrier_power_w * np.abs(cfr) ** 2 / self._noise_w
+        return 10.0 * np.log10(np.maximum(snr_linear, 1e-30))
+
+    def _link_scores(self, sums: np.ndarray) -> np.ndarray:
+        """Each link's objective for running sums of shape ``(..., L, K)``."""
+        snr = self._snr_db_fast(self._ambient + sums)
+        rows = snr.reshape(-1, snr.shape[-1])
+        scores = np.fromiter(map(self._objective, rows), float, len(rows))
+        return scores.reshape(snr.shape[:-1])
+
+    def _joint_score(self, link_scores: np.ndarray) -> float:
+        """Aggregate one probe's per-link scores, shape ``(L,)``."""
+        if self._aggregate is not None:
+            return float(self._aggregate(link_scores, self._weights))
+        if link_scores.size == 1:
+            return float(link_scores[0])  # one link's mean is its own score
+        return float(np.dot(self._weights, link_scores) / self._weight_total)
+
+    def _rescore(self) -> float:
+        self._links = self._link_scores(self._sum)
+        self._score = self._joint_score(self._links)
+        return self._score
 
     def _record(self, value: float) -> None:
         self.num_scores += 1
-        _MULTILINK_PROBES.inc()
+        _DELTA_EVALS.inc()
         if value > self._best:
             self._best = value
         self.trajectory.append(self._best)
 
+    def _count_flips(self, applied: int) -> None:
+        self._flips_since_resync += applied
+        if self._flips_since_resync >= self._resync_interval:
+            self._sum = self._full_sum()
+            self._flips_since_resync = 0
+
+    def _move(self, element: int, state: int) -> float:
+        if not 0 <= element < self._space.num_elements:
+            raise IndexError(f"element {element} out of range")
+        if not 0 <= state < self._space.state_counts[element]:
+            raise ValueError(
+                f"state {state} out of range for element {element} "
+                f"({self._space.state_counts[element]} states)"
+            )
+        previous = int(self._indices[element])
+        if state != previous:
+            self._sum += self._tensor[element, state] - self._tensor[element, previous]
+            self._indices[element] = state
+            self._count_flips(1)
+        return self._rescore()
+
+    def _check_moves(self, elements: np.ndarray, states: np.ndarray) -> None:
+        """:meth:`flip`'s range checks, plus distinctness, for a batch.
+
+        Viewed as unsigned, a negative index wraps past every bound, so one
+        comparison per array checks both ends of its range.
+        """
+        num_elements = self._space.num_elements
+        if elements.view(np.uintp).max() >= num_elements:
+            outside = elements[(elements < 0) | (elements >= num_elements)]
+            raise IndexError(f"element {int(outside[0])} out of range")
+        counts = self._state_counts[elements]
+        invalid = states.view(np.uintp) >= counts
+        if invalid.any():
+            at = int(np.argmax(invalid))
+            raise ValueError(
+                f"state {int(states[at])} out of range for element "
+                f"{int(elements[at])} ({int(counts[at])} states)"
+            )
+        if np.bincount(elements, minlength=num_elements).max() > 1:
+            raise ValueError(f"elements must be distinct, got {elements.tolist()}")
+
     # -- mutation -------------------------------------------------------
     def flip(self, element: int, state: int) -> float:
-        """Set one element's state on every link and re-aggregate."""
-        for delta in self._deltas:
-            delta.flip(element, state)
-        self._score = self._aggregate_of(self._link_scores())
-        self._record(self._score)
-        return self._score
+        """Set one element's state on every link and return the new score."""
+        value = self._move(element, state)
+        self._record(value)
+        return value
+
+    def adopt(self, element: int, state: int) -> float:
+        """Move one element to a state a scan has measured, and commit.
+
+        Greedy descent's accept step: :meth:`scores_for_element` already
+        charged the sounding for this configuration, so no probe is
+        counted.  The arithmetic is :meth:`flip`'s, so the committed score
+        is exactly what a charged flip would return.
+        """
+        self._move(element, state)
+        return self.commit()
 
     def flip_many(
         self,
         elements: Sequence[int],
         states: Sequence[int],
     ) -> float:
-        """Flip several distinct elements at once (one joint probe)."""
-        for delta in self._deltas:
-            delta.flip_many(elements, states)
-        self._score = self._aggregate_of(self._link_scores())
-        self._record(self._score)
-        return self._score
+        """Flip several distinct elements at once (one scored probe).
+
+        The RFocus perturbation primitive: one random multi-element
+        perturbation costs one sounding, not N.  Elements and states are
+        range-checked as :meth:`flip` checks them, and a repeated element
+        raises ``ValueError``: the batched gather reads every previous
+        state before any write, so a repeat would corrupt the running sum.
+        """
+        element_idx = np.asarray(elements, dtype=np.intp)
+        state_idx = np.asarray(states, dtype=np.intp)
+        if element_idx.shape != state_idx.shape:
+            raise ValueError("elements and states must have matching shapes")
+        if element_idx.size:
+            self._check_moves(element_idx, state_idx)
+            previous = self._indices[element_idx]
+            changed = state_idx != previous
+            if np.any(changed):
+                moved = element_idx[changed]
+                self._sum += (
+                    self._tensor[moved, state_idx[changed]]
+                    - self._tensor[moved, previous[changed]]
+                ).sum(axis=0)
+                self._indices[moved] = state_idx[changed]
+                self._count_flips(int(changed.sum()))
+        value = self._rescore()
+        self._record(value)
+        return value
 
     def set_configuration(self, configuration: ArrayConfiguration) -> float:
-        """Jump every link to an arbitrary configuration."""
-        for delta in self._deltas:
-            delta.set_configuration(configuration)
-        self._score = self._aggregate_of(self._link_scores())
-        self._record(self._score)
-        return self._score
+        """Jump to an arbitrary configuration (full O(N*K·L) recompute)."""
+        self._space.validate(configuration)
+        self._indices = np.array(configuration.indices, dtype=np.intp)
+        self._sum = self._full_sum()
+        self._flips_since_resync = 0
+        value = self._rescore()
+        self._record(value)
+        return value
 
     def revert(self) -> float:
-        """Bit-exact rollback of every link to the committed state (free)."""
-        for delta in self._deltas:
-            delta.revert()
+        """Bit-exact rollback to the committed configuration (free)."""
+        self._indices = self._committed_indices.copy()
+        self._sum = self._committed_sum.copy()
+        self._links = self._committed_links
         self._score = self._committed_score
         return self._score
 
     def commit(self) -> float:
         """Make the working configuration the new revert point."""
-        for delta in self._deltas:
-            delta.commit()
+        self._committed_indices = self._indices.copy()
+        self._committed_sum = self._sum.copy()
+        self._committed_links = self._links
         self._committed_score = self._score
         return self._score
 
     # -- batched per-element probing ------------------------------------
     def scores_for_element(self, element: int) -> np.ndarray:
-        """Aggregate value for every state of one element, vectorized.
+        """Score every state of one element, vectorized over states and links.
 
-        Each link scores its M candidate sums in one batched broadcast
-        (:meth:`DeltaEvaluator.scores_for_element`); the (L, M) matrix is
-        then aggregated per state.  Counts M-1 joint probes.
+        The greedy-descent kernel: the candidate sums for all M states of
+        ``element`` on every link are formed in one (M, L, K) broadcast
+        from one gather, scored in one batched SNR evaluation and then
+        aggregated once per state.  Counts M-1 probes (the current state's
+        score is already known).
         """
-        per_link = np.stack(
-            [delta.scores_for_element(element) for delta in self._deltas]
-        )
+        if not 0 <= element < self._space.num_elements:
+            raise IndexError(f"element {element} out of range")
+        count = self._space.state_counts[element]
+        current = int(self._indices[element])
+        block = self._tensor[element]
+        candidates = (self._sum - block[current])[None] + block[:count]
         scores = np.array(
-            [self._aggregate_of(per_link[:, m]) for m in range(per_link.shape[1])]
+            [self._joint_score(row) for row in self._link_scores(candidates)]
         )
-        current = int(self._deltas[0].configuration.indices[element])
-        for m in range(scores.size):
+        for m in range(count):
             if m != current:
                 self._record(float(scores[m]))
         return scores
+
+
+#: The joint scorer's former name.  The benchmark's layer probes
+#: (``perfbench/probes.py``) still wrap methods through it.
+MultiLinkDeltaEvaluator = DeltaEvaluator
 
 
 def exhaustive_argmax(

@@ -24,10 +24,13 @@ Links come in two flavours.  :class:`LinkObjective` wraps an arbitrary
 ``configuration -> measurement`` callback (over-the-air soundings, MIMO
 matrices, ...).  :class:`BasisLink` wraps a precomputed
 :class:`~repro.core.basis.BasisEvaluator`; when every link is
-basis-backed and the searcher is delta-capable, the joint strategies run
-on a :class:`~repro.core.basis.MultiLinkDeltaEvaluator` — one cached
-element sum per link, O(K·L) per flip — so they scale to wall-sized
-arrays where the callback path's O(M^N) enumeration is impossible.
+basis-backed and the searcher is delta-capable, the joint strategy
+scores on one :class:`~repro.core.basis.DeltaEvaluator` over the stacked
+per-link bases — one running element sum per link, O(K·L) per flip —
+and the per-link and hybrid strategies search each link through
+:meth:`~repro.core.search.Searcher.search_basis`, so all three scale to
+wall-sized arrays where the callback path's O(M^N) enumeration is
+impossible.
 
 Joint scores are combined by a
 :data:`~repro.core.objectives.LinkAggregate` (weighted mean by default;
@@ -43,10 +46,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import BasisEvaluator, MultiLinkDeltaEvaluator
+from .basis import BasisEvaluator, DeltaEvaluator
 from .configuration import ArrayConfiguration, ConfigurationSpace
 from .scheduler import SwitchingSchedule, TimingModel, packet_timescale_schedule
-from .search import Searcher, ExhaustiveSearch
+from .search import CountingScore, ExhaustiveSearch, Searcher
 
 __all__ = [
     "LinkObjective",
@@ -108,7 +111,8 @@ class BasisLink:
     :class:`~repro.core.basis.ChannelBasis` (every link shares the array,
     so every basis shares one configuration space).  When all links in a
     strategy call are ``BasisLink`` and the searcher is delta-capable,
-    the strategies route through the incremental multi-link scorer.
+    the strategies score incrementally on
+    :class:`~repro.core.basis.DeltaEvaluator`.
     """
 
     name: str
@@ -297,62 +301,55 @@ def optimize_joint(
     search's own probes, never re-measured.
 
     When every link is a :class:`BasisLink` and the searcher is
-    delta-capable (``uses_delta``), the search runs on a
-    :class:`~repro.core.basis.MultiLinkDeltaEvaluator` — O(K·L) per flip,
-    independent of array size — so joint optimisation works on spaces far
-    past :data:`~repro.core.basis.MAX_ENUMERABLE_CONFIGS`.
+    delta-capable (``uses_delta``), the search scores with a stacked
+    :class:`~repro.core.basis.DeltaEvaluator` over all L links — O(K·L)
+    per flip, independent of array size — so joint optimisation works on
+    spaces far past :data:`~repro.core.basis.MAX_ENUMERABLE_CONFIGS`.
+    Otherwise it scores whole configurations through a
+    :class:`~repro.core.search.CountingScore`.  Either way the searcher
+    runs once, with the same body.
     """
     links = list(links)
     weights = _link_weights(links)
+    if _all_basis_links(links):
+        space = _shared_space(links, space)
+    elif space is None:
+        raise ValueError("space is required for callback-measured links")
 
+    per_link_cache: dict[tuple[int, ...], np.ndarray] = {}
+    scorer: Union[DeltaEvaluator, CountingScore]
     if _all_basis_links(links) and searcher.uses_delta:
-        _shared_space(links, space)
-        evaluator = MultiLinkDeltaEvaluator(
+        scorer = DeltaEvaluator(
             [link.evaluator for link in links],
             weights=weights,
             aggregate=aggregate,
             resync_interval=resync_interval,
         )
-        best, _ = searcher.run_delta(evaluator)
-        # The winner was probed during the search; reading its per-link
-        # scores off the basis costs no new soundings.
-        scores = {link.name: link.evaluator(best) for link in links}
-        return JointResult(
-            strategy="joint",
-            assignments={link.name: best for link in links},
-            per_link_scores=scores,
-            num_measurements=evaluator.num_scores * len(links),
-            num_distinct_configurations=1,
-        )
+    else:
+        total_weight = float(weights.sum())
 
-    if space is None:
-        if _all_basis_links(links):
-            space = _shared_space(links, None)
-        else:
-            raise ValueError("space is required for callback-measured links")
+        def joint_score(configuration: ArrayConfiguration) -> float:
+            link_scores = np.array([link.score(configuration) for link in links])
+            per_link_cache[configuration.indices] = link_scores
+            if aggregate is None:
+                return float(np.dot(weights, link_scores) / total_weight)
+            return float(aggregate(link_scores, weights))
 
-    total_weight = float(weights.sum())
-    per_link_cache: dict[tuple[int, ...], np.ndarray] = {}
+        scorer = CountingScore(joint_score, space)
 
-    def joint_score(configuration: ArrayConfiguration) -> float:
-        link_scores = np.array([link.score(configuration) for link in links])
-        per_link_cache[configuration.indices] = link_scores
-        if aggregate is None:
-            return float(np.dot(weights, link_scores) / total_weight)
-        return float(aggregate(link_scores, weights))
-
-    result = searcher.search(space, joint_score)
+    result = searcher.search_scorer(scorer)
     cached = per_link_cache.get(result.best.indices)
-    measurements = result.num_evaluations * len(links)
-    if cached is None:  # pragma: no cover - searchers always probe their winner
+    if cached is None:
+        # Only the delta route leaves nothing cached (searchers always
+        # probe their winner): reading the winner's per-link scores off
+        # the basis costs no new soundings.
         cached = np.array([link.score(result.best) for link in links])
-        measurements += len(links)
     scores = {link.name: float(cached[i]) for i, link in enumerate(links)}
     return JointResult(
         strategy="joint",
         assignments={link.name: result.best for link in links},
         per_link_scores=scores,
-        num_measurements=measurements,
+        num_measurements=result.num_evaluations * len(links),
         num_distinct_configurations=1,
     )
 

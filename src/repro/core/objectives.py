@@ -195,7 +195,7 @@ class TargetCfrObjective:
 #: Protocol of the joint multi-link scoring modes: an aggregate maps the
 #: per-link score vector (shape ``(L,)``) and the per-link weights (shape
 #: ``(L,)``, all positive) to one scalar, higher is better.  Used by
-#: :class:`repro.core.basis.MultiLinkDeltaEvaluator` and
+#: :class:`repro.core.basis.DeltaEvaluator` and
 #: :func:`repro.core.joint.optimize_joint`.
 LinkAggregate = Callable[[np.ndarray, np.ndarray], float]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -23,10 +23,12 @@ from ..obs.metrics import counter_handle
 from .configuration import ArrayConfiguration, ConfigurationSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .basis import ChannelBasis, DeltaEvaluator
+    from .basis import ChannelBasis
 
 __all__ = [
     "SearchResult",
+    "Scorer",
+    "CountingScore",
     "Searcher",
     "ExhaustiveSearch",
     "SingleProbeSearch",
@@ -65,19 +67,61 @@ class SearchResult:
     trajectory: list[float] = field(default_factory=list)
 
 
-class _CountingScore:
+class Scorer(Protocol):
+    """The flip/revert/commit protocol greedy descent and RFocus run on.
+
+    Two implementations: :class:`~repro.core.basis.DeltaEvaluator` scores
+    by O(K·L) delta updates over a channel basis, and
+    :class:`CountingScore` scores whole configurations through a
+    callback, so measurement-backed controllers run the same search
+    bodies.  ``num_scores`` counts soundings and ``trajectory`` holds the
+    best-so-far score after each one.
+    """
+
+    num_scores: int
+    trajectory: list[float]
+
+    @property
+    def space(self) -> ConfigurationSpace: ...
+
+    @property
+    def configuration(self) -> ArrayConfiguration: ...
+
+    def set_configuration(self, configuration: ArrayConfiguration) -> float: ...
+
+    def flip_many(self, elements: Sequence[int], states: Sequence[int]) -> float: ...
+
+    def scores_for_element(self, element: int) -> np.ndarray: ...
+
+    def adopt(self, element: int, state: int) -> float: ...
+
+    def revert(self) -> float: ...
+
+    def commit(self) -> float: ...
+
+
+class CountingScore:
     """Wraps a score function, counting and memoising evaluations.
 
     Memoisation reflects reality: a controller that has already measured a
     configuration within the coherence time need not measure it again.
+
+    Called with a configuration it is a plain score function.  It also
+    implements the :class:`Scorer` protocol over a working configuration
+    that starts all-zeros, scoring each configuration the protocol visits
+    as a whole — so greedy descent and RFocus run one body against a
+    channel basis and against live measurements.
     """
 
-    def __init__(self, score: ScoreFunction) -> None:
+    def __init__(self, score: ScoreFunction, space: ConfigurationSpace) -> None:
         self._score = score
         self._cache: dict[tuple[int, ...], float] = {}
-        self.num_evaluations = 0
+        self.num_scores = 0
         self.trajectory: list[float] = []
         self._best = -math.inf
+        self.space = space
+        self._indices = np.zeros(space.num_elements, dtype=np.intp)
+        self._committed = self._indices.copy()
 
     def __call__(self, configuration: ArrayConfiguration) -> float:
         key = configuration.indices
@@ -85,10 +129,49 @@ class _CountingScore:
             return self._cache[key]
         value = float(self._score(configuration))
         self._cache[key] = value
-        self.num_evaluations += 1
+        self.num_scores += 1
         self._best = max(self._best, value)
         self.trajectory.append(self._best)
         return value
+
+    @property
+    def configuration(self) -> ArrayConfiguration:
+        return ArrayConfiguration(tuple(int(i) for i in self._indices))
+
+    @property
+    def score(self) -> float:
+        """Score of the working configuration (measured once, then memoised)."""
+        return self(self.configuration)
+
+    def set_configuration(self, configuration: ArrayConfiguration) -> float:
+        self.space.validate(configuration)
+        self._indices = np.array(configuration.indices, dtype=np.intp)
+        return self.score
+
+    def flip_many(self, elements: Sequence[int], states: Sequence[int]) -> float:
+        self._indices[np.asarray(elements, dtype=np.intp)] = states
+        return self.score
+
+    def scores_for_element(self, element: int) -> np.ndarray:
+        held = self._indices[element]
+        scores = []
+        for state in range(self.space.state_counts[element]):
+            self._indices[element] = state
+            scores.append(self.score)
+        self._indices[element] = held
+        return np.array(scores)
+
+    def adopt(self, element: int, state: int) -> float:
+        self._indices[element] = state
+        return self.commit()
+
+    def revert(self) -> float:
+        self._indices = self._committed.copy()
+        return self.score
+
+    def commit(self) -> float:
+        self._committed = self._indices.copy()
+        return self.score
 
 
 @dataclass(frozen=True)
@@ -97,14 +180,7 @@ class Searcher:
 
     def search(self, space: ConfigurationSpace, score: ScoreFunction) -> SearchResult:
         """Run the search with evaluation counting and memoisation."""
-        counting = _CountingScore(score)
-        best, best_score = self.run(space, counting)
-        return SearchResult(
-            best=best,
-            best_score=best_score,
-            num_evaluations=counting.num_evaluations,
-            trajectory=counting.trajectory,
-        )
+        return self.search_scorer(CountingScore(score, space))
 
     def search_basis(
         self,
@@ -122,13 +198,14 @@ class Searcher:
         Works with any objective over per-subcarrier SNR (dB), exactly as
         the measurement-backed score functions do.
 
-        Searchers that implement :meth:`run_delta` (the scalable ones)
-        additionally route through a :class:`~repro.core.basis.DeltaEvaluator`
-        here, scoring configurations by O(K) per-element delta updates —
-        per-flip cost independent of N — instead of re-summing all N
-        element contributions per candidate.  The generic callback path
-        (:meth:`search`) is untouched: controllers driving real
-        measurements still go through it.
+        Searchers written against the :class:`Scorer` protocol
+        (``uses_delta``: greedy descent, RFocus) run here on a
+        :class:`~repro.core.basis.DeltaEvaluator`, scoring configurations
+        by O(K) per-element delta updates — per-flip cost independent of
+        N — instead of re-summing all N element contributions per
+        candidate.  Through :meth:`search` the same bodies run on
+        :class:`CountingScore`, so controllers driving real measurements
+        share them.
 
         **Reentrancy.** Every call builds its own evaluator (and delta
         scorer) over the immutable basis arrays; no state is shared
@@ -146,28 +223,34 @@ class Searcher:
             mask=mask,
         )
         if self.uses_delta:
-            delta = evaluator.delta()
-            best, best_score = self.run_delta(delta)
-            return SearchResult(
-                best=best,
-                best_score=best_score,
-                num_evaluations=delta.num_scores,
-                trajectory=delta.trajectory,
-            )
+            return self.search_scorer(evaluator.delta())
         return self.search(basis.space, evaluator)
 
-    #: Searchers that implement :meth:`run_delta` set this true; it routes
-    #: :meth:`search_basis` through the incremental scorer.
+    def search_scorer(self, scorer: Any) -> SearchResult:
+        """Run the search on a ready scorer and report its soundings.
+
+        ``scorer`` is a :class:`CountingScore`, or for ``uses_delta``
+        searchers any :class:`Scorer` — such as the multi-link
+        :class:`~repro.core.basis.DeltaEvaluator` of
+        :func:`~repro.core.joint.optimize_joint`.
+        """
+        best, best_score = self.run(scorer.space, scorer)
+        return SearchResult(
+            best=best,
+            best_score=best_score,
+            num_evaluations=scorer.num_scores,
+            trajectory=scorer.trajectory,
+        )
+
+    #: Searchers whose :meth:`run` only uses the :class:`Scorer` protocol
+    #: set this true; :meth:`search_basis` then scores with a
+    #: :class:`~repro.core.basis.DeltaEvaluator`.
     uses_delta = False
 
-    def run_delta(
-        self, delta: "DeltaEvaluator"
-    ) -> tuple[ArrayConfiguration, float]:  # pragma: no cover - interface
-        raise NotImplementedError
-
     def run(
-        self, space: ConfigurationSpace, score: ScoreFunction
+        self, space: ConfigurationSpace, score: Any
     ) -> tuple[ArrayConfiguration, float]:
+        """Search ``space``; ``score`` is the scorer of :meth:`search_scorer`."""
         raise NotImplementedError
 
 
@@ -247,11 +330,13 @@ class GreedyCoordinateDescent(Searcher):
     "focus the search" heuristic for a switch-per-element architecture.
     Random restarts escape poor local optima.
 
-    Against a channel basis (:meth:`Searcher.search_basis`) the sweep runs
-    on a :class:`~repro.core.basis.DeltaEvaluator`: each element's M
-    candidate states are scored in one vectorized batch from the running
-    element sum, so a full sweep costs O(N*M*K) total instead of
-    O(N^2*M*K) — per-candidate cost independent of array size.
+    The body is written once, against the :class:`Scorer` protocol.
+    Against a channel basis (:meth:`Searcher.search_basis`) it runs on a
+    :class:`~repro.core.basis.DeltaEvaluator`: each element's M candidate
+    states are scored in one vectorized batch from the running element
+    sum, so a full sweep costs O(N*M*K) total instead of O(N^2*M*K) —
+    per-candidate cost independent of array size.  Through
+    :meth:`Searcher.search` it runs on measured whole configurations.
     """
 
     max_sweeps: int = 4
@@ -267,73 +352,42 @@ class GreedyCoordinateDescent(Searcher):
             raise ValueError(f"restarts must be positive, got {self.restarts}")
 
     def run(
-        self, space: ConfigurationSpace, score: ScoreFunction
+        self, space: ConfigurationSpace, score: Scorer
     ) -> tuple[ArrayConfiguration, float]:
-        rng = np.random.default_rng(self.seed)
-        best: Optional[ArrayConfiguration] = None
-        best_score = -math.inf
-        for restart in range(self.restarts):
-            if restart == 0:
-                current = ArrayConfiguration(tuple([0] * space.num_elements))
-            else:
-                current = space.random_configuration(rng)
-            current_score = score(current)
-            for _ in range(self.max_sweeps):
-                improved = False
-                for element in range(space.num_elements):
-                    for state in range(space.state_counts[element]):
-                        if state == current.indices[element]:
-                            continue
-                        candidate = current.with_element_state(element, state)
-                        value = score(candidate)
-                        if value > current_score:
-                            current, current_score = candidate, value
-                            improved = True
-                if not improved:
-                    break
-            if current_score > best_score:
-                best, best_score = current, current_score
-        assert best is not None
-        return best, best_score
+        """Coordinate descent over the scorer protocol.
 
-    def run_delta(
-        self, delta: "DeltaEvaluator"
-    ) -> tuple[ArrayConfiguration, float]:
-        """Coordinate descent over the incremental scorer.
-
-        Same acceptance semantics as :meth:`run` — an element moves to the
-        best strictly-improving state (first index wins ties) — but each
-        element's candidates are scored in one batched
-        :meth:`~repro.core.basis.DeltaEvaluator.scores_for_element` call.
+        Each element's M candidate states are scored in one
+        :meth:`~Scorer.scores_for_element` scan; the element moves to the
+        best strictly-improving state (first index wins ties), adopted
+        without a second sounding.  The first restart starts from the
+        scorer's working configuration (all-zeros as built by
+        :meth:`Searcher.search` and :meth:`Searcher.search_basis`), later
+        ones from random configurations.  One sweep costs N*(M-1)
+        soundings.
         """
         rng = np.random.default_rng(self.seed)
-        space = delta.space
         best: Optional[ArrayConfiguration] = None
         best_score = -math.inf
         for restart in range(self.restarts):
-            if restart == 0:
-                start = ArrayConfiguration(tuple([0] * space.num_elements))
-            else:
-                start = space.random_configuration(rng)
-            delta.set_configuration(start)
-            delta.commit()
-            current_score = delta.score
+            if restart > 0:
+                score.set_configuration(space.random_configuration(rng))
+            current_score = score.commit()
+            held = list(score.configuration.indices)
             for _ in range(self.max_sweeps):
                 _ROUNDS.inc()
                 improved = False
                 for element in range(space.num_elements):
-                    scores = delta.scores_for_element(element)
+                    scores = score.scores_for_element(element)
                     candidate = int(np.argmax(scores))
-                    held = int(delta.configuration.indices[element])
-                    if candidate != held and scores[candidate] > current_score:
-                        current_score = delta.flip(element, candidate)
-                        delta.commit()
+                    if candidate != held[element] and scores[candidate] > current_score:
+                        current_score = score.adopt(element, candidate)
+                        held[element] = candidate
                         _FLIPS.inc()
                         improved = True
                 if not improved:
                     break
             if current_score > best_score:
-                best, best_score = delta.configuration, current_score
+                best, best_score = score.configuration, current_score
         assert best is not None
         return best, best_score
 
@@ -351,10 +405,13 @@ class RFocusMajoritySearch(Searcher):
     per-element statistics converge because every element's states are
     (randomly) exercised across the batch.
 
-    Only meaningful against a channel basis (it is delta-powered); the
-    candidate configuration produced by a vote is adopted only if it
-    actually improves the committed score, otherwise the round is rolled
-    back and ``patience`` counts down to early exit.
+    The body is written once, against the :class:`Scorer` protocol, so it
+    runs on a channel basis (delta-scored, via :meth:`Searcher.search_basis`)
+    and on measured whole configurations (via :meth:`Searcher.search`)
+    alike.  The candidate configuration produced by a vote is adopted only
+    if it actually improves the committed score, otherwise the round is
+    rolled back and ``patience`` counts down to early exit; a vote that
+    changes no element costs no sounding and also counts down.
 
     Parameters
     ----------
@@ -391,21 +448,21 @@ class RFocusMajoritySearch(Searcher):
             raise ValueError(f"patience must be positive, got {self.patience}")
 
     def run(
-        self, space: ConfigurationSpace, score: ScoreFunction
+        self, space: ConfigurationSpace, score: Scorer
     ) -> tuple[ArrayConfiguration, float]:
-        """Callback-scored variant (for measurement-backed controllers).
+        """Perturb-and-vote rounds over the scorer protocol.
 
-        Draws the same RNG stream and makes the same decisions as
-        :meth:`run_delta`; each whole-array perturbation costs one
-        ``score`` call, so the per-round sounding budget is
-        ``perturbations + 1`` regardless of N.
+        Starts from the scorer's working configuration (all-zeros as built
+        by :meth:`Searcher.search` and :meth:`Searcher.search_basis`).  A
+        round costs ``perturbations`` soundings, plus one for the voted
+        configuration unless the vote changes no element.
         """
         rng = np.random.default_rng(self.seed)
         num_elements = space.num_elements
         state_counts = np.array(space.state_counts, dtype=np.intp)
         max_states = int(state_counts.max())
-        current = np.zeros(num_elements, dtype=np.intp)
-        current_score = score(ArrayConfiguration(tuple([0] * num_elements)))
+        current_score = score.commit()
+        current = np.array(score.configuration.indices, dtype=np.intp)
         stale = 0
         rows = np.arange(num_elements)
         for _ in range(self.rounds):
@@ -416,55 +473,10 @@ class RFocusMajoritySearch(Searcher):
                 mask = rng.random(num_elements) < self.flip_fraction
                 random_states = rng.integers(0, state_counts)
                 probe = np.where(mask, random_states, current)
-                value = score(ArrayConfiguration(tuple(int(s) for s in probe)))
+                value = score.flip_many(rows[mask], random_states[mask])
                 score_sums[rows, probe] += value
                 probe_counts[rows, probe] += 1.0
-            sampled = probe_counts > 0
-            means = np.full((num_elements, max_states), -math.inf)
-            means[sampled] = score_sums[sampled] / probe_counts[sampled]
-            voted = np.argmax(means, axis=1)
-            if np.array_equal(voted, current):
-                stale += 1
-                if stale >= self.patience:
-                    break
-                continue
-            value = score(ArrayConfiguration(tuple(int(s) for s in voted)))
-            if value > current_score:
-                _FLIPS.inc(int((voted != current).sum()))
-                current = voted.copy()
-                current_score = value
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
-        return ArrayConfiguration(tuple(int(s) for s in current)), current_score
-
-    def run_delta(
-        self, delta: "DeltaEvaluator"
-    ) -> tuple[ArrayConfiguration, float]:
-        rng = np.random.default_rng(self.seed)
-        space = delta.space
-        num_elements = space.num_elements
-        state_counts = np.array(space.state_counts, dtype=np.intp)
-        max_states = int(state_counts.max())
-        delta.commit()
-        current = np.array(delta.committed_configuration.indices, dtype=np.intp)
-        current_score = delta.score
-        stale = 0
-        for _ in range(self.rounds):
-            _ROUNDS.inc()
-            score_sums = np.zeros((num_elements, max_states))
-            probe_counts = np.zeros((num_elements, max_states))
-            rows = np.arange(num_elements)
-            for _ in range(self.perturbations):
-                mask = rng.random(num_elements) < self.flip_fraction
-                random_states = rng.integers(0, state_counts)
-                probe = np.where(mask, random_states, current)
-                value = delta.flip_many(rows[mask], random_states[mask])
-                score_sums[rows, probe] += value
-                probe_counts[rows, probe] += 1.0
-                delta.revert()
+                score.revert()
             # Majority vote: each element independently adopts the state
             # whose probes scored best on average (unsampled states and
             # index padding past an element's state count never win).
@@ -473,19 +485,20 @@ class RFocusMajoritySearch(Searcher):
             means[sampled] = score_sums[sampled] / probe_counts[sampled]
             voted = np.argmax(means, axis=1)
             changed = voted != current
-            value = delta.flip_many(rows[changed], voted[changed])
-            if value > current_score:
-                delta.commit()
-                _FLIPS.inc(int(changed.sum()))
-                current = voted
-                current_score = value
-                stale = 0
-            else:
-                delta.revert()
-                stale += 1
-                if stale >= self.patience:
-                    break
-        return delta.committed_configuration, current_score
+            if np.any(changed):
+                value = score.flip_many(rows[changed], voted[changed])
+                if value > current_score:
+                    score.commit()
+                    _FLIPS.inc(int(changed.sum()))
+                    current = voted
+                    current_score = value
+                    stale = 0
+                    continue
+                score.revert()
+            stale += 1
+            if stale >= self.patience:
+                break
+        return ArrayConfiguration(tuple(int(s) for s in current)), current_score
 
 
 @dataclass(frozen=True)

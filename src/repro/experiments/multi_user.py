@@ -5,8 +5,8 @@ pairs share one wall-sized programmable surface, and each strategy point
 (per-link / joint / hybrid) is scored as user count climbs.  Grounded in
 Liaskos et al. (arXiv:1812.11429) — the multi-user multi-objective
 configuration problem — at the RFocus array scale, which is exactly what
-the delta-powered multi-link scorer
-(:class:`~repro.core.basis.MultiLinkDeltaEvaluator`) makes tractable.
+the delta scorer over stacked per-link bases
+(:class:`~repro.core.basis.DeltaEvaluator`) makes tractable.
 
 Two sweeps share one scene:
 

@@ -187,3 +187,46 @@ def test_flip_validates_ranges():
         delta.flip(delta.space.num_elements, 0)
     with pytest.raises(ValueError):
         delta.flip(0, 99)
+
+
+@pytest.mark.parametrize(
+    "elements,states,error",
+    [
+        ([-1], [1], IndexError),  # would wrap to the last element
+        ([0, 99], [1, 1], IndexError),
+        ([0, 1], [1, 4], ValueError),  # 4-state elements: reads padding
+        ([0, 1], [-1, 1], ValueError),
+        ([2, 2], [1, 3], ValueError),  # repeat: both deltas, one state
+    ],
+    ids=["negative-element", "element-past-end", "state-past-count",
+         "negative-state", "repeated-element"],
+)
+def test_flip_many_validates_like_flip(elements, states, error):
+    setup = build_nlos_setup(0)
+    evaluator = _evaluator(setup)
+    delta = evaluator.delta()
+    before = (delta.configuration, delta.score, delta.num_scores)
+    with pytest.raises(error):
+        delta.flip_many(elements, states)
+    # a rejected batch leaves the scorer untouched and uncharged
+    assert (delta.configuration, delta.score, delta.num_scores) == before
+    assert delta.flip_many([0, 1], [1, 2]) == pytest.approx(
+        evaluator(delta.configuration), abs=ATOL
+    )
+
+
+def test_adopt_commits_a_scanned_state_without_a_probe():
+    """Greedy's accept step: flip arithmetic, no sounding, new revert point."""
+    setup = build_large_array_setup(2, num_elements=34)
+    evaluator = _evaluator(setup, mask=used_subcarrier_mask())
+    delta = evaluator.delta()
+    twin = evaluator.delta()
+    delta.scores_for_element(5)
+    charged = delta.num_scores
+    value = delta.adopt(5, 2)
+    assert delta.num_scores == charged
+    assert value == twin.flip(5, 2)  # bit-exact: the same arithmetic
+    delta.flip(6, 1)
+    delta.revert()
+    assert delta.configuration == delta.committed_configuration
+    assert delta.configuration.indices[5] == 2

@@ -15,6 +15,7 @@ import pytest
 from repro.core import (
     ConfigurationSpace,
     BasisLink,
+    DeltaEvaluator,
     ExhaustiveSearch,
     GreedyCoordinateDescent,
     LexicographicAggregate,
@@ -162,6 +163,37 @@ class TestMultiLinkDeltaEvaluator:
             MultiLinkDeltaEvaluator(evaluators, weights=np.array([1.0]))
         with pytest.raises(ValueError):
             MultiLinkDeltaEvaluator(evaluators, weights=np.array([1.0, -1.0]))
+
+    def test_delta_evals_counts_each_joint_probe_once(self):
+        """One probe sounds all L links but is one scored probe."""
+        setup = build_nlos_setup(0)
+        links = _basis_links(setup, num_links=3)
+        evaluator = DeltaEvaluator([link.evaluator for link in links])
+        before = global_registry().snapshot()
+        evaluator.flip(0, 1)
+        counters = global_registry().snapshot().delta(before).counters
+        assert counters["search.delta_evals"] == 1
+        assert "search.multilink_probes" not in counters
+
+    def test_links_must_share_scoring(self):
+        """Stacked links share one objective, power, noise figure and mask."""
+        setup = build_nlos_setup(0)
+        link = _basis_links(setup, num_links=1)[0].evaluator
+        basis = link.basis
+        for other in (
+            basis.evaluator(MinSnrObjective(), link.tx_power_dbm,
+                            link.noise_figure_db, link.mask),
+            basis.evaluator(link.objective, link.tx_power_dbm + 1.0,
+                            link.noise_figure_db, link.mask),
+            basis.evaluator(link.objective, link.tx_power_dbm,
+                            link.noise_figure_db + 1.0, link.mask),
+            basis.evaluator(link.objective, link.tx_power_dbm,
+                            link.noise_figure_db, None),
+            basis.evaluator(link.objective, link.tx_power_dbm,
+                            link.noise_figure_db, ~link.mask),
+        ):
+            with pytest.raises(ValueError):
+                DeltaEvaluator([link, other])
 
 
 class TestAggregates:

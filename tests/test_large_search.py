@@ -147,6 +147,46 @@ def test_delta_routed_search_improves_on_baseline():
     )  # reported score is reproducible from the returned configuration
 
 
+def _both_routes(searcher, basis, objective, kwargs):
+    """The same search on the delta scorer and on the counting callback."""
+    delta = searcher.search_basis(basis, objective, **kwargs)
+    evaluator = basis.evaluator(objective, **kwargs)
+    callback = searcher.search(basis.space, evaluator)
+    return delta, callback
+
+
+@pytest.mark.parametrize("num_elements", [16, 64])
+def test_greedy_charges_each_sounding_once_on_both_routes(num_elements):
+    """One sweep costs the start plus N*(M-1) scans, on either route: an
+    accepted move is not re-sounded and the start is sounded once."""
+    setup = build_large_array_setup(0, num_elements=num_elements)
+    basis = _basis(setup)
+    delta, callback = _both_routes(
+        GreedyCoordinateDescent(max_sweeps=1, seed=0),
+        basis,
+        MeanSnrObjective(),
+        _search_kwargs(setup),
+    )
+    moves = sum(count - 1 for count in basis.space.state_counts)
+    assert delta.num_evaluations == callback.num_evaluations == 1 + moves
+    assert delta.best == callback.best
+    assert delta.best_score == callback.best_score
+
+
+def test_rfocus_no_op_vote_costs_no_sounding_on_either_route():
+    """Under a flat objective every vote keeps the current configuration:
+    each round costs its perturbations only, until patience runs out."""
+    setup = build_large_array_setup(0, num_elements=16)
+    basis = _basis(setup)
+    searcher = RFocusMajoritySearch(perturbations=6, patience=2, seed=0)
+    delta, callback = _both_routes(
+        searcher, basis, lambda snr: 0.0, _search_kwargs(setup)
+    )
+    expected = 1 + searcher.patience * searcher.perturbations
+    assert delta.num_evaluations == callback.num_evaluations == expected
+    assert delta.best == callback.best
+
+
 def test_run_large_array_parallel_matches_serial():
     """jobs=1 and jobs=4 produce bit-identical cells."""
     serial = run_large_array(
