@@ -43,7 +43,7 @@ from ..em.antennas import Antenna, IsotropicAntenna
 from ..em.channel import snr_db_from_cfr, subcarrier_frequencies
 from ..em.geometry import Point
 from ..em.paths import PathBatch, SignalPath, path_arrays, paths_to_cfr_batch
-from ..em.raytracer import RayTracer, _points_to_arrays
+from ..em.raytracer import RayTracer, TraceFrame, _points_to_arrays
 from ..obs.metrics import counter_handle
 from .array import PressArray
 from .configuration import ArrayConfiguration, ConfigurationSpace
@@ -57,6 +57,7 @@ __all__ = [
     "StateTensorBudgetExceeded",
     "MAX_ENUMERABLE_CONFIGS",
     "DEFAULT_STATE_TENSOR_BUDGET_BYTES",
+    "element_frame",
     "state_tensor_nbytes",
     "exhaustive_argmax",
 ]
@@ -124,6 +125,11 @@ def _too_large_message(space: ConfigurationSpace) -> str:
         "or repro.core.scheduler.pick_searcher, which auto-selects them for "
         "large spaces."
     )
+
+
+def element_frame(array: PressArray, tracer: RayTracer, tx: Point, tx_antenna: Antenna) -> TraceFrame:
+    """The trace frame of ``tx`` with ``array``'s elements as its relays."""
+    return tracer.frame(tx, tx_antenna, [(e.position, e.antenna, 0.0) for e in array.elements])
 
 
 @dataclass(frozen=True)
@@ -277,52 +283,47 @@ class ChannelBasis:
         num_subcarriers: int = NUM_SUBCARRIERS,
         bandwidth_hz: float = BANDWIDTH_HZ,
         ambient: Optional[PathBatch] = None,
+        frame: Optional[TraceFrame] = None,
     ) -> list["ChannelBasis"]:
         """One basis per receiver point, traced with the batched geometry.
 
-        The batched twin of :meth:`trace`, for position sweeps (coverage
-        maps, placement scans): ambient multipath comes from
-        :meth:`RayTracer.trace_batch`, and each element's two-hop geometry
-        — distances, blockage, antenna gains — is computed once for all P
-        points via :meth:`RayTracer.relay_geometry_batch`, then folded with
-        every state's reflectivity and stub phase.  Per-point results match
-        :meth:`trace` to machine precision (same op order throughout), so
-        ambient path counts — and therefore drift-draw counts — are
-        identical to the scalar route.
-
-        ``ambient`` lets a caller reuse an already-traced batch.
+        The batched twin of :meth:`trace`, for position sweeps and moving
+        users: ambient multipath comes from :meth:`TraceFrame.trace_batch`,
+        every element's two-hop geometry for all P points is one
+        :meth:`TraceFrame.relay_geometry` broadcast, and each state set's
+        reflectivities and stub phases fold in over all its elements.
+        Per-point results match :meth:`trace` to machine precision (same
+        op order throughout), so ambient path counts — and therefore
+        drift-draw counts — are identical to the scalar route.  ``ambient``
+        and ``frame`` (an :func:`element_frame` of ``tx``) reuse earlier work.
         """
+        if frame is None:
+            frame = element_frame(array, tracer, tx, tx_antenna)
+        elif (frame.tracer, frame.tx, frame.tx_antenna) != (tracer, tx, tx_antenna):
+            raise ValueError("trace frame was built for another tracer or TX")
         freqs = subcarrier_frequencies(num_subcarriers, bandwidth_hz)
         if ambient is None:
-            ambient = tracer.trace_batch(tx, rx_points, tx_antenna, rx_antenna)
+            ambient = frame.trace_batch(rx_points, rx_antenna)
         rx_x, rx_y = _points_to_arrays(rx_points)
         num_points = ambient.num_points
         _BATCHES_TRACED.inc()
         _BATCH_POINTS.inc(num_points)
         space = array.configuration_space()
-        max_states = max(space.state_counts)
         tensors = np.zeros(
-            (num_points, array.num_elements, max_states, num_subcarriers),
+            (num_points, array.num_elements, max(space.state_counts), num_subcarriers),
             dtype=complex,
         )
+        by_element = tensors.transpose(1, 2, 0, 3)  # (N, M, P, K) view
         carrier = tracer.frequency_hz
         freq_factor = -2.0j * np.pi * freqs  # shared (K,) phasor exponent
+        amplitude, total, _, clear = frame.relay_geometry(rx_x, rx_y, rx_antenna)
+        carrier_phasor = np.exp(-2.0j * np.pi * total / tracer.wavelength_m)
+        base_delay = total / SPEED_OF_LIGHT
+        by_states: dict[tuple, list[int]] = {}  # elements grouped by state set
         for n, element in enumerate(array.elements):
-            amplitude, total, _, _, clear = tracer.relay_geometry_batch(
-                tx,
-                element.position,
-                rx_x,
-                rx_y,
-                tx_antenna=tx_antenna,
-                rx_antenna=rx_antenna,
-                relay_antenna_in=element.antenna,
-                relay_antenna_out=element.antenna,
-            )
-            carrier_phasor = np.exp(
-                -2.0j * np.pi * total / tracer.wavelength_m
-            )  # (P,)
-            base_delay = total / SPEED_OF_LIGHT
-            for m, state in enumerate(element.states):
+            by_states.setdefault(element.states, []).append(n)
+        for states, rows in by_states.items():
+            for m, state in enumerate(states):
                 if state.is_terminated:
                     continue
                 stub_carrier_phase = (
@@ -331,32 +332,27 @@ class ChannelBasis:
                 reflectivity = state.magnitude * complex(
                     math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
                 )
-                gain = amplitude * reflectivity * carrier_phasor
+                gain = amplitude[rows] * reflectivity * carrier_phasor[rows]
                 gain = gain * complex(
                     math.cos(stub_carrier_phase), math.sin(stub_carrier_phase)
                 )
-                valid = clear & (np.abs(gain) != 0.0)
-                delay = base_delay + state.extra_delay_s
-                contribution = gain[:, None] * np.exp(
-                    freq_factor[None, :] * delay[:, None]
-                )
+                valid = clear[rows] & (np.abs(gain) != 0.0)
+                delay = base_delay[rows] + state.extra_delay_s
+                contribution = gain[..., None] * np.exp(freq_factor * delay[..., None])
                 contribution[~valid] = 0.0
-                tensors[:, n, m, :] = contribution
-        bases: list[ChannelBasis] = []
-        for p in range(num_points):
-            gains, delays = ambient.point_arrays(p)
-            bases.append(
-                cls(
-                    space=space,
-                    frequencies_hz=freqs,
-                    ambient_gains=gains,
-                    ambient_delays=delays,
-                    state_tensor=tensors[p],
-                    num_subcarriers=num_subcarriers,
-                    bandwidth_hz=bandwidth_hz,
-                )
+                by_element[rows, m] = contribution
+        return [
+            cls(
+                space=space,
+                frequencies_hz=freqs,
+                ambient_gains=gains,
+                ambient_delays=delays,
+                state_tensor=tensors[p],
+                num_subcarriers=num_subcarriers,
+                bandwidth_hz=bandwidth_hz,
             )
-        return bases
+            for p, (gains, delays) in enumerate(map(ambient.point_arrays, range(num_points)))
+        ]
 
     @classmethod
     def trace_chunked(
@@ -376,14 +372,14 @@ class ChannelBasis:
         """Large-array basis construction: chunked, budgeted, state-vectorized.
 
         The wall-sized twin of :meth:`trace`.  Geometry (distances,
-        blockage, antenna gains) is computed exactly once per *element* via
-        :meth:`RayTracer.relay_geometry_batch` — not once per
-        (element, state) as the scalar path does — and every state's
-        reflectivity, stub phase and stub dispersion fold in as vectorized
-        per-chunk numpy operations, with per-state-set constants cached
-        across elements.  Agrees with :meth:`trace` to <=1e-9 (the stub
-        phasor is factored out of the per-subcarrier exponential; the math
-        is identical, the op order differs only in that split).
+        blockage, antenna gains) is one :meth:`TraceFrame.relay_geometry`
+        broadcast over every element — not one trace per (element, state)
+        as the scalar path does — and every state's reflectivity, stub
+        phase and stub dispersion fold in as vectorized per-chunk numpy
+        operations, with per-state-set constants cached across elements.
+        Agrees with :meth:`trace` to <=1e-9 (the stub phasor is factored
+        out of the per-subcarrier exponential; the math is identical, the
+        op order differs only in that split).
 
         The state tensor is assembled ``element_chunk`` elements at a time
         so the per-chunk temporaries stay bounded, and the full
@@ -414,19 +410,16 @@ class ChannelBasis:
         tensor = np.zeros((num_elements, max_states, num_subcarriers), dtype=complex)
         carrier = tracer.frequency_hz
         freq_factor = -2.0j * np.pi * freqs  # shared (K,) phasor exponent
-        rx_x = np.array([rx.x])
-        rx_y = np.array([rx.y])
+        frame = element_frame(array, tracer, tx, tx_antenna)
+        geometry = frame.relay_geometry(np.array([rx.x]), np.array([rx.y]), rx_antenna)
+        amplitudes, all_totals, _, clears = (column[:, 0] for column in geometry)
 
         # Per-state-set constants, shared across every element using the
         # same switch hardware (the common case is one state set for the
         # whole wall): Gamma at the carrier and the stub's dispersion
         # phasor across the band.
         folds: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-        def fold_for(states: tuple) -> tuple[np.ndarray, np.ndarray]:
-            cached = folds.get(states)
-            if cached is not None:
-                return cached
+        for states in dict.fromkeys(element.states for element in array.elements):
             gamma = np.zeros(len(states), dtype=complex)
             extra_phasor = np.zeros((len(states), num_subcarriers), dtype=complex)
             for m, state in enumerate(states):
@@ -440,29 +433,10 @@ class ChannelBasis:
                 ) * complex(math.cos(stub_carrier_phase), math.sin(stub_carrier_phase))
                 extra_phasor[m] = np.exp(freq_factor * state.extra_delay_s)
             folds[states] = (gamma, extra_phasor)
-            return gamma, extra_phasor
 
         for start in range(0, num_elements, element_chunk):
             stop = min(start + element_chunk, num_elements)
-            chunk = stop - start
-            amplitudes = np.zeros(chunk)
-            totals = np.zeros(chunk)
-            clears = np.zeros(chunk, dtype=bool)
-            for offset, n in enumerate(range(start, stop)):
-                element = array.elements[n]
-                amplitude, total, _, _, clear = tracer.relay_geometry_batch(
-                    tx,
-                    element.position,
-                    rx_x,
-                    rx_y,
-                    tx_antenna=tx_antenna,
-                    rx_antenna=rx_antenna,
-                    relay_antenna_in=element.antenna,
-                    relay_antenna_out=element.antenna,
-                )
-                amplitudes[offset] = amplitude[0]
-                totals[offset] = total[0]
-                clears[offset] = clear[0]
+            totals = all_totals[start:stop]
             # One vectorized (chunk, K) exponential covers the chunk's
             # carrier phase + propagation delay across the band.
             base_phasors = np.exp(
@@ -470,11 +444,11 @@ class ChannelBasis:
             )
             carrier_phasors = np.exp(-2.0j * np.pi * totals / tracer.wavelength_m)
             for offset, n in enumerate(range(start, stop)):
-                if not clears[offset] or amplitudes[offset] == 0.0:
+                if not clears[n] or amplitudes[n] == 0.0:
                     continue
                 element = array.elements[n]
-                gamma, extra_phasor = fold_for(element.states)
-                per_state_gain = amplitudes[offset] * carrier_phasors[offset] * gamma
+                gamma, extra_phasor = folds[element.states]
+                per_state_gain = amplitudes[n] * carrier_phasors[offset] * gamma
                 tensor[n, : len(element.states)] = (
                     per_state_gain[:, None] * base_phasors[offset][None, :] * extra_phasor
                 )

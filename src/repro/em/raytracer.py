@@ -52,6 +52,7 @@ from .scene import Scene
 
 __all__ = [
     "RayTracer",
+    "TraceFrame",
     "free_space_amplitude",
     "carrier_phase",
     "two_hop_gain",
@@ -68,6 +69,8 @@ _BATCH_POINTS = counter_handle("em.raytracer.batch_points")
 MIN_HOP_DISTANCE_M = 0.05
 
 _ENDPOINT_TOL = 1e-6
+
+_BLOCKAGE_CHUNK = 1 << 14  # leg-segment pairs per blockage call (TraceFrame._blocked)
 
 
 def free_space_amplitude(distance_m: float, wavelength_m: float) -> float:
@@ -447,6 +450,39 @@ class RayTracer:
     # ------------------------------------------------------------------
     # Batched path construction (geometry as the fast axis)
     # ------------------------------------------------------------------
+    def frame(
+        self,
+        tx: Point,
+        tx_antenna: Antenna = IsotropicAntenna(),
+        relays: Sequence[tuple[Point, Optional[Antenna], float]] = (),
+    ) -> "TraceFrame":
+        """Everything about ``tx`` in this scene that no receiver changes.
+
+        The TX images of every wall sequence, and the TX-facing half of
+        every scatterer and relay.  A relay is ``(position, antenna,
+        gain_dbi)``; an antenna of ``None`` means a flat ``gain_dbi`` on
+        both hops, as for a scatterer.
+        """
+        walls = self.scene.walls
+        pairs = [(a, b) for a in walls for b in walls if not _same_segment(a.segment, b.segment)]
+        sequences = [[(wall,) for wall in walls], pairs][: self.max_bounces]
+        scatterers = self.scene.scatterers
+        return TraceFrame(
+            tracer=self,
+            tx=tx,
+            tx_antenna=tx_antenna,
+            walls=tuple(
+                _wall_group(tx, group, self._packed_blockers) for group in sequences if group
+            ),
+            scatterers=_relay_half(
+                self, tx, tx_antenna, [(s.position, None, s.gain_dbi) for s in scatterers]
+            ),
+            scatterer_reflectivity=np.array(
+                [s.reflectivity for s in scatterers], dtype=complex
+            ).reshape(-1, 1),
+            relays=_relay_half(self, tx, tx_antenna, relays),
+        )
+
     def trace_batch(
         self,
         tx: Point,
@@ -458,311 +494,307 @@ class RayTracer:
     ) -> PathBatch:
         """All multipath components from ``tx`` to every point of a batch.
 
-        Vectorizes the image method over an array of receiver positions:
-        each candidate family (LoS, each wall, each ordered wall pair, each
-        scatterer) evaluates its mirror/intersection/blockage tests for all
-        P points with numpy broadcasts instead of P scalar traces.  The
-        result reproduces per-point :meth:`trace` — same paths, same order,
-        gains to machine precision (``tests/test_trace_batch.py``) — with
-        :meth:`trace` kept as the scalar reference implementation.
+        :meth:`TraceFrame.trace_batch` on a fresh :meth:`frame`.  Rows match
+        the scalar reference :meth:`trace` (``tests/test_trace_batch.py``).
         """
-        pxs, pys = _points_to_arrays(rx_points)
-        num = pxs.shape[0]
+        return self.frame(tx, tx_antenna).trace_batch(
+            rx_points, rx_antenna, include_los, include_scatterers
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Relays:
+    """The TX-facing half of R two-hop relays TX -> via -> RX.
+
+    ``columns`` holds eight ``(R, 1)`` columns: via x and y, ``d1``, its
+    hop amplitude, TX antenna gain, relay gain toward the TX, departure
+    angle and flat re-radiation gain, from the scalar tracer's own
+    functions so each row matches :meth:`RayTracer.relay_path` bit for
+    bit.  ``patterns`` maps each relay antenna to the rows using it.
+    """
+
+    columns: np.ndarray
+    tx_clear: np.ndarray
+    patterns: tuple[tuple[Antenna, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return int(self.columns.shape[1])
+
+
+def _relay_half(tracer: RayTracer, tx: Point, tx_antenna: Antenna, relays) -> _Relays:
+    """Trace the TX-facing half of ``relays`` (see :class:`_Relays`)."""
+    columns = np.zeros((8, len(relays), 1))
+    by_antenna: dict[Antenna, list[int]] = {}
+    for row, (via, antenna, gain_dbi) in enumerate(relays):
+        d1 = distance(tx, via)
+        aod = (via - tx).angle()
+        flat = 10.0 ** (gain_dbi / 20.0)
+        if antenna is None:
+            gain_in = flat
+        else:
+            gain_in = antenna.amplitude_gain((tx - via).angle())
+            by_antenna.setdefault(antenna, []).append(row)
+        hop1 = free_space_amplitude(d1, tracer.wavelength_m)
+        tx_gain = tx_antenna.amplitude_gain(aod)
+        columns[:, row, 0] = (via.x, via.y, d1, hop1, tx_gain, gain_in, aod, flat)
+    blocked = legs_blocked_packed(
+        *np.broadcast_arrays(tx.x, tx.y, columns[0, :, 0], columns[1, :, 0]),
+        tracer._packed_blockers,
+        endpoint_tol=_ENDPOINT_TOL,
+    )
+    return _Relays(
+        columns=columns,
+        tx_clear=~blocked[:, None],
+        patterns=tuple((antenna, np.array(rows)) for antenna, rows in by_antenna.items()),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _WallGroup:
+    """Every wall sequence of one length, with its TX images traced.
+
+    ``steps`` holds one backward-pass step per bounce, last wall first:
+    ``(Q, 1)`` columns ``(px, py, qx, qy, sx, sy, seg_len)`` for rays from
+    TX image ``(px, py)`` to a wall from ``(qx, qy)`` along ``(sx, sy)``.
+    ``exclude`` holds the ``(hops + 1, Q, 1, S)`` walls each leg skips.
+    """
+
+    hops: int
+    steps: tuple[tuple[np.ndarray, ...], ...]
+    reflection: np.ndarray
+    exclude: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.reflection.shape[0])
+
+
+def _wall_group(
+    tx: Point, sequences: Sequence[tuple[Wall, ...]], packed: SegmentArrays
+) -> _WallGroup:
+    """Trace the receiver-independent part of same-length wall sequences."""
+    hops = len(sequences[0])
+    rows = np.zeros((hops, 7, len(sequences)))
+    reflection = np.zeros((len(sequences), 1), dtype=complex)
+    exclude = np.zeros((hops + 1, len(sequences), 1, len(packed)), dtype=bool)
+    for q, walls in enumerate(sequences):
+        image = tx
+        product = complex(1.0, 0.0)
+        for index, wall in enumerate(walls):
+            seg = wall.segment
+            image = mirror_point(image, seg)
+            sx, sy = seg.end.x - seg.start.x, seg.end.y - seg.start.y
+            rows[index, :, q] = (image.x, image.y, seg.start.x, seg.start.y, sx, sy, np.hypot(sx, sy))
+            product *= get_material(wall.material).reflection_coefficient
+        reflection[q] = product
+        for leg in range(hops + 1):
+            for wall in walls[max(leg - 1, 0) : leg + 1]:
+                exclude[leg, q, 0] |= packed.match_mask(wall.segment)
+    steps = tuple(tuple(step[:, :, None]) for step in rows[::-1])
+    return _WallGroup(hops=hops, steps=steps, reflection=reflection, exclude=exclude)
+
+
+@dataclass(frozen=True, eq=False)
+class TraceFrame:
+    """One transmitter in one scene, with every receiver-independent part traced.
+
+    Built once by :meth:`RayTracer.frame` and reused for any number of
+    receiver batches: each call traces only the receiver-facing legs, as
+    one ``(Q, P)`` broadcast per wall-sequence length, one ``(R, P)`` for
+    all scatterers and one ``(N, P)`` for all relays, with one
+    :func:`legs_blocked_packed` call per family.  Every row keeps the
+    scalar tracer's order of operations, so results do not depend on the
+    batch, the frame's reuse, or how many relays it holds.
+    """
+
+    tracer: RayTracer
+    tx: Point
+    tx_antenna: Antenna
+    walls: tuple[_WallGroup, ...]
+    scatterers: _Relays
+    scatterer_reflectivity: np.ndarray
+    relays: _Relays
+
+    def trace_batch(
+        self,
+        rx_points: Union[Sequence[Point], np.ndarray],
+        rx_antenna: Antenna = IsotropicAntenna(),
+        include_los: bool = True,
+        include_scatterers: bool = True,
+    ) -> PathBatch:
+        """Ambient multipath from the frame's TX to every point of a batch.
+
+        Candidate columns follow the scalar :meth:`RayTracer.trace` order:
+        LoS, each wall, each ordered wall pair, each scatterer.
+        """
+        rx_x, rx_y = _points_to_arrays(rx_points)
+        num = rx_x.shape[0]
         _BATCH_TRACES.inc()
         _BATCH_POINTS.inc(num)
-        columns: list[tuple[np.ndarray, ...]] = []
+        # One (gain, delay, aod, aoa, valid) block of (columns, P) per family.
+        blocks: list[tuple[np.ndarray, ...]] = []
         kinds: list[str] = []
         hops: list[int] = []
-
-        def add(gain, delay, aod, aoa, valid, kind: str, hop: int) -> None:
-            columns.append(
-                (
-                    np.where(valid, gain, 0.0 + 0.0j),
-                    np.where(valid, delay, 0.0),
-                    aod,
-                    aoa,
-                    valid,
-                )
-            )
-            kinds.append(kind)
-            hops.append(hop)
-
         if include_los:
-            add(*self._los_column(tx, pxs, pys, tx_antenna, rx_antenna), "los", 0)
-        if self.max_bounces >= 1:
-            for wall in self.scene.walls:
-                add(
-                    *self._wall_column(tx, pxs, pys, [wall], tx_antenna, rx_antenna),
-                    "wall-reflection",
-                    1,
-                )
-        if self.max_bounces >= 2:
-            for first in self.scene.walls:
-                for second in self.scene.walls:
-                    if _same_segment(first.segment, second.segment):
-                        continue
-                    add(
-                        *self._wall_column(
-                            tx, pxs, pys, [first, second], tx_antenna, rx_antenna
-                        ),
-                        "wall-reflection",
-                        2,
-                    )
-        if include_scatterers:
-            for scatterer in self.scene.scatterers:
-                add(
-                    *self.relay_column(
-                        tx,
-                        scatterer.position,
-                        pxs,
-                        pys,
-                        tx_antenna=tx_antenna,
-                        rx_antenna=rx_antenna,
-                        relay_gain_dbi=scatterer.gain_dbi,
-                        reflectivity=scatterer.reflectivity,
-                    ),
-                    "scatterer",
-                    1,
-                )
-        if not columns:
-            empty_c = np.zeros((num, 0), dtype=complex)
-            empty_f = np.zeros((num, 0), dtype=float)
-            return PathBatch(
-                gains=empty_c,
-                delays_s=empty_f,
-                aod_rad=empty_f,
-                aoa_rad=empty_f.copy(),
-                valid=np.zeros((num, 0), dtype=bool),
-                kinds=(),
-                hops=(),
+            blocks.append(self._los_block(rx_x, rx_y, rx_antenna))
+            kinds.append("los")
+            hops.append(0)
+        for group in self.walls:
+            blocks.append(self._wall_block(group, rx_x, rx_y, rx_antenna))
+            kinds.extend(["wall-reflection"] * len(group))
+            hops.extend([group.hops] * len(group))
+        if include_scatterers and len(self.scatterers):
+            amplitude, total, aoa, clear = self.relay_geometry(
+                rx_x, rx_y, rx_antenna, self.scatterers
             )
+            gain = (
+                amplitude
+                * self.scatterer_reflectivity
+                * np.exp(-2.0j * np.pi * total / self.tracer.wavelength_m)
+            )
+            aod = np.broadcast_to(self.scatterers.columns[6], aoa.shape)
+            blocks.append(
+                (gain, total / SPEED_OF_LIGHT, aod, aoa, clear & (np.abs(gain) != 0.0))
+            )
+            kinds.extend(["scatterer"] * len(self.scatterers))
+            hops.extend([1] * len(self.scatterers))
+        if not blocks:
+            blocks.append(tuple(np.zeros((0, num), t) for t in (complex,) + (float,) * 3 + (bool,)))
+        gains, delays, aod, aoa, valid = (
+            np.ascontiguousarray(np.concatenate(field).T) for field in zip(*blocks)
+        )
         return PathBatch(
-            gains=np.stack([c[0] for c in columns], axis=1),
-            delays_s=np.stack([c[1] for c in columns], axis=1),
-            aod_rad=np.stack([c[2] for c in columns], axis=1),
-            aoa_rad=np.stack([c[3] for c in columns], axis=1),
-            valid=np.stack([c[4] for c in columns], axis=1),
+            gains=np.where(valid, gains, 0.0 + 0.0j),
+            delays_s=np.where(valid, delays, 0.0),
+            aod_rad=aod,
+            aoa_rad=aoa,
+            valid=valid,
             kinds=tuple(kinds),
             hops=tuple(hops),
         )
 
-    def _leg_blocked_batch(
+    def relay_geometry(
         self,
-        start_x: np.ndarray,
-        start_y: np.ndarray,
-        end_x: np.ndarray,
-        end_y: np.ndarray,
-        exclude: Sequence[Segment] = (),
-    ) -> np.ndarray:
-        """Batched :meth:`leg_is_clear` complement over the packed scene."""
-        packed = self._packed_blockers
-        exclude_mask: Optional[np.ndarray] = None
-        if exclude and len(packed):
-            exclude_mask = np.zeros(len(packed), dtype=bool)
-            for other in exclude:
-                exclude_mask |= packed.match_mask(other)
-        return legs_blocked_packed(
-            start_x,
-            start_y,
-            end_x,
-            end_y,
-            packed,
-            exclude_mask=exclude_mask,
-            endpoint_tol=_ENDPOINT_TOL,
-        )
-
-    def _los_column(
-        self,
-        tx: Point,
-        pxs: np.ndarray,
-        pys: np.ndarray,
-        tx_antenna: Antenna,
+        rx_x: np.ndarray,
+        rx_y: np.ndarray,
         rx_antenna: Antenna,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Direct-path candidate for every receiver point."""
-        num = pxs.shape[0]
-        blocked = self._leg_blocked_batch(
-            np.full(num, tx.x), np.full(num, tx.y), pxs, pys
-        )
-        dx = pxs - tx.x
-        dy = pys - tx.y
+        relays: Optional[_Relays] = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Configuration-independent geometry of TX -> each relay -> each RX point.
+
+        Returns ``(amplitude, total_length_m, aoa, clear)``, each ``(R, P)``,
+        for the frame's relays (or ``relays``), with every relay-to-RX leg
+        in one blockage test.  ``amplitude`` is the real field amplitude of
+        :func:`two_hop_gain` *before* reflectivity and carrier phase — the
+        part every relay state shares — so per-state gains fold in as
+        ``amplitude * reflectivity * exp(-2j pi L / lambda)``, the scalar
+        order of operations.
+        """
+        relays = self.relays if relays is None else relays
+        via_x, via_y, d1, hop1, tx_gain, gain_in, _, gain_out = relays.columns
+        shape = (len(relays), rx_x.shape[0])
+        clear = relays.tx_clear & ~self._blocked(via_x, via_y, rx_x, rx_y, shape=shape)
+        d2 = np.hypot(rx_x - via_x, rx_y - via_y)
+        aoa = np.arctan2(via_y - rx_y, via_x - rx_x)
+        if relays.patterns:
+            departure = np.arctan2(rx_y - via_y, rx_x - via_x)
+            gain_out = np.broadcast_to(gain_out, shape).copy()
+            for antenna, rows in relays.patterns:
+                gain_out[rows] = antenna.amplitude_gain_array(departure[rows])
+        # The scalar relay_path's product, factor by factor in its order.
+        amplitude = hop1 * _free_space_amplitude_array(d2, self.tracer.wavelength_m) * tx_gain
+        amplitude = amplitude * rx_antenna.amplitude_gain_array(aoa) * gain_in * gain_out
+        return amplitude, d1 + d2, aoa, clear
+
+    def _blocked(self, *ends: np.ndarray, shape: tuple, exclude_mask=None) -> np.ndarray:
+        """Blockage of legs whose four end coordinates broadcast to ``shape``.
+
+        Legs go in chunks whose ``(legs, S)`` temporaries stay cache-sized:
+        one broadcast over a 400-point grid ran ~2x slower per leg.
+        """
+        packed = self.tracer._packed_blockers
+        ends = tuple(np.broadcast_to(a, shape).ravel() for a in ends)
+        blocked = np.empty(ends[0].shape, dtype=bool)
+        step = max(1, _BLOCKAGE_CHUNK // max(len(packed), 1))
+        for start in range(0, blocked.shape[0], step):
+            rows = slice(start, start + step)
+            blocked[rows] = legs_blocked_packed(
+                *(a[rows] for a in ends),
+                packed,
+                exclude_mask=None if exclude_mask is None else exclude_mask[rows],
+                endpoint_tol=_ENDPOINT_TOL,
+            )
+        return blocked.reshape(shape)
+
+    def _los_block(
+        self, rx_x: np.ndarray, rx_y: np.ndarray, rx_antenna: Antenna
+    ) -> tuple[np.ndarray, ...]:
+        """The direct-path candidate for every receiver point, as ``(1, P)``."""
+        tx = self.tx
+        blocked = self._blocked(tx.x, tx.y, rx_x, rx_y, shape=rx_x.shape)
+        dx = rx_x - tx.x
+        dy = rx_y - tx.y
         d = np.hypot(dx, dy)
         aod = np.arctan2(dy, dx)
         aoa = np.arctan2(-dy, -dx)
         amplitude = (
-            _free_space_amplitude_array(d, self.wavelength_m)
-            * tx_antenna.amplitude_gain_array(aod)
+            _free_space_amplitude_array(d, self.tracer.wavelength_m)
+            * self.tx_antenna.amplitude_gain_array(aod)
             * rx_antenna.amplitude_gain_array(aoa)
         )
-        gain = amplitude * np.exp(-2.0j * np.pi * d / self.wavelength_m)
-        return gain, d / SPEED_OF_LIGHT, aod, aoa, ~blocked
+        gain = amplitude * np.exp(-2.0j * np.pi * d / self.tracer.wavelength_m)
+        return tuple(a[None, :] for a in (gain, d / SPEED_OF_LIGHT, aod, aoa, ~blocked))
 
-    def _wall_column(
-        self,
-        tx: Point,
-        pxs: np.ndarray,
-        pys: np.ndarray,
-        walls: Sequence[Wall],
-        tx_antenna: Antenna,
-        rx_antenna: Antenna,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One wall (or ordered wall pair) specular candidate per point.
+    def _wall_block(
+        self, group: _WallGroup, rx_x: np.ndarray, rx_y: np.ndarray, rx_antenna: Antenna
+    ) -> tuple[np.ndarray, ...]:
+        """Every sequence of one wall group against every point, as ``(Q, P)``.
 
-        The batched twin of :meth:`_wall_path`: iterated transmitter images
-        are shared by every receiver, so the backward pass is one
-        :func:`_ray_segment_hits` broadcast per wall and the blockage tests
-        one :func:`legs_blocked_packed` call per leg.
+        The batched twin of :meth:`RayTracer._wall_path`: the backward pass
+        is one :func:`_ray_segment_hits` broadcast per bounce, and all
+        ``hops + 1`` legs share one blockage test.
         """
-        num = pxs.shape[0]
-        images = [tx]
-        for wall in walls:
-            images.append(mirror_point(images[-1], wall.segment))
-        # Backward pass: recover reflection points for all rays at once.
-        ok = np.ones(num, dtype=bool)
+        tx = self.tx
+        shape = (len(group), rx_x.shape[0])
+        ok = np.ones(shape, dtype=bool)
         hits_x: list[np.ndarray] = []
         hits_y: list[np.ndarray] = []
-        target_x, target_y = pxs, pys
-        for index in range(len(walls) - 1, -1, -1):
-            hx, hy, hit_ok = _ray_segment_hits(
-                images[index + 1], target_x, target_y, walls[index].segment, tol=1e-6
-            )
+        target_x, target_y = rx_x, rx_y
+        for step in group.steps:
+            hx, hy, hit_ok = _ray_segment_hits(step, target_x, target_y, tol=1e-6)
             ok &= hit_ok
             hits_x.append(hx)
             hits_y.append(hy)
             target_x, target_y = hx, hy
-        hits_x.reverse()
-        hits_y.reverse()
-        # vertices: tx, refl_1, ..., refl_k, rx (per point)
-        verts_x = [np.full(num, tx.x)] + hits_x + [pxs]
-        verts_y = [np.full(num, tx.y)] + hits_y + [pys]
+        # vertices: tx, refl_1, ..., refl_k, rx (per sequence and point)
+        verts_x = [tx.x] + hits_x[::-1] + [rx_x]
+        verts_y = [tx.y] + hits_y[::-1] + [rx_y]
         leg_lengths = [
             np.hypot(verts_x[i] - verts_x[i + 1], verts_y[i] - verts_y[i + 1])
-            for i in range(len(verts_x) - 1)
+            for i in range(group.hops + 1)
         ]
-        degenerate = np.zeros(num, dtype=bool)
-        for length in leg_lengths:
-            degenerate |= length <= _ENDPOINT_TOL
-        blocked = np.zeros(num, dtype=bool)
-        for leg_index in range(len(verts_x) - 1):
-            exclude: list[Segment] = []
-            if leg_index > 0:
-                exclude.append(walls[leg_index - 1].segment)
-            if leg_index < len(walls):
-                exclude.append(walls[leg_index].segment)
-            blocked |= self._leg_blocked_batch(
-                verts_x[leg_index],
-                verts_y[leg_index],
-                verts_x[leg_index + 1],
-                verts_y[leg_index + 1],
-                exclude=exclude,
-            )
+        degenerate = np.logical_or.reduce([length <= _ENDPOINT_TOL for length in leg_lengths])
+        legs = (group.hops + 1,) + shape
+        segments = group.exclude.shape[-1:]
+        blocked = self._blocked(
+            *(
+                np.stack([np.broadcast_to(v, shape) for v in verts])
+                for verts in (verts_x[:-1], verts_y[:-1], verts_x[1:], verts_y[1:])
+            ),
+            shape=legs,
+            exclude_mask=np.broadcast_to(group.exclude, legs + segments).reshape(-1, *segments),
+        ).any(axis=0)
         valid = ok & ~degenerate & ~blocked
-        total = leg_lengths[0]
-        for length in leg_lengths[1:]:
-            total = total + length
-        reflection = complex(1.0, 0.0)
-        for wall in walls:
-            reflection *= get_material(wall.material).reflection_coefficient
+        total = sum(leg_lengths[1:], leg_lengths[0])
         aod = np.arctan2(verts_y[1] - tx.y, verts_x[1] - tx.x)
-        aoa = np.arctan2(verts_y[-2] - pys, verts_x[-2] - pxs)
+        aoa = np.arctan2(verts_y[-2] - rx_y, verts_x[-2] - rx_x)
+        wavelength = self.tracer.wavelength_m
         amplitude = (
-            _free_space_amplitude_array(total, self.wavelength_m)
-            * tx_antenna.amplitude_gain_array(aod)
+            _free_space_amplitude_array(total, wavelength)
+            * self.tx_antenna.amplitude_gain_array(aod)
             * rx_antenna.amplitude_gain_array(aoa)
         )
-        gain = amplitude * reflection * np.exp(-2.0j * np.pi * total / self.wavelength_m)
+        gain = amplitude * group.reflection * np.exp(-2.0j * np.pi * total / wavelength)
         return gain, total / SPEED_OF_LIGHT, aod, aoa, valid
-
-    def relay_geometry_batch(
-        self,
-        tx: Point,
-        via: Point,
-        rx_x: np.ndarray,
-        rx_y: np.ndarray,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        relay_antenna_in: Optional[Antenna] = None,
-        relay_antenna_out: Optional[Antenna] = None,
-        relay_gain_dbi: float = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Configuration-independent geometry of TX -> via -> each RX point.
-
-        Returns ``(amplitude, total_length_m, aod, aoa, clear)``, all shape
-        ``(P,)``.  ``amplitude`` is the real field amplitude of
-        :func:`two_hop_gain` *before* reflectivity and carrier phase — the
-        part shared by every relay state — so per-state gains fold in as
-        ``amplitude * reflectivity * exp(-2j pi L / lambda)`` (exactly the
-        scalar order of operations).  :meth:`ChannelBasis.trace_batch`
-        builds its per-point state tensors on this.
-        """
-        num = rx_x.shape[0]
-        if self.leg_is_clear(tx, via):
-            clear = ~self._leg_blocked_batch(
-                np.full(num, via.x), np.full(num, via.y), rx_x, rx_y
-            )
-        else:
-            clear = np.zeros(num, dtype=bool)
-        d1 = distance(tx, via)
-        d2 = np.hypot(rx_x - via.x, rx_y - via.y)
-        aod = np.full(num, (via - tx).angle())
-        aoa = np.arctan2(via.y - rx_y, via.x - rx_x)
-        incident_angle = (tx - via).angle()
-        departure_angle = np.arctan2(rx_y - via.y, rx_x - via.x)
-        if relay_antenna_in is not None:
-            gain_in = relay_antenna_in.amplitude_gain(incident_angle)
-        else:
-            gain_in = 10.0 ** (relay_gain_dbi / 20.0)
-        if relay_antenna_out is not None:
-            gain_out = relay_antenna_out.amplitude_gain_array(departure_angle)
-        else:
-            gain_out = 10.0 ** (relay_gain_dbi / 20.0)
-        amplitude = (
-            free_space_amplitude(d1, self.wavelength_m)
-            * _free_space_amplitude_array(d2, self.wavelength_m)
-            * tx_antenna.amplitude_gain((via - tx).angle())
-            * rx_antenna.amplitude_gain_array(aoa)
-            * gain_in
-            * gain_out
-        )
-        return amplitude, d1 + d2, aod, aoa, clear
-
-    def relay_column(
-        self,
-        tx: Point,
-        via: Point,
-        rx_x: np.ndarray,
-        rx_y: np.ndarray,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        relay_antenna_in: Optional[Antenna] = None,
-        relay_antenna_out: Optional[Antenna] = None,
-        relay_gain_dbi: float = 0.0,
-        reflectivity: complex = 1.0 + 0.0j,
-        extra_delay_s: float = 0.0,
-        extra_phase_rad: float = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`relay_path`: TX -> via -> each RX point.
-
-        Returns ``(gain, delay_s, aod, aoa, valid)``, all shape ``(P,)``.
-        """
-        amplitude, total, aod, aoa, clear = self.relay_geometry_batch(
-            tx,
-            via,
-            rx_x,
-            rx_y,
-            tx_antenna=tx_antenna,
-            rx_antenna=rx_antenna,
-            relay_antenna_in=relay_antenna_in,
-            relay_antenna_out=relay_antenna_out,
-            relay_gain_dbi=relay_gain_dbi,
-        )
-        gain = amplitude * reflectivity * np.exp(
-            -2.0j * np.pi * total / self.wavelength_m
-        )
-        gain = gain * cmath.exp(1j * extra_phase_rad)
-        valid = clear & (np.abs(gain) != 0.0)
-        delay = total / SPEED_OF_LIGHT + extra_delay_s
-        return gain, delay, aod, aoa, valid
 
 
 def _free_space_amplitude_array(
@@ -792,32 +824,31 @@ def _points_to_arrays(
 
 
 def _ray_segment_hits(
-    start: Point,
+    step: tuple[np.ndarray, ...],
     target_x: np.ndarray,
     target_y: np.ndarray,
-    seg: Segment,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched image-method back-step: rays ``start -> target[i]`` vs one wall.
+    """Batched image-method back-step: rays ``image -> target`` vs one wall each.
 
-    Vectorizes ``segment_intersection(Segment(start, target), seg)`` plus
-    the ``seg.contains_point(hit, tol)`` validity test of the scalar
-    ``_wall_path``, branch for branch, over an array of ray targets.
+    Vectorizes ``segment_intersection(Segment(image, target), wall)`` plus
+    the ``wall.contains_point(hit, tol)`` validity test of the scalar
+    ``_wall_path``, branch for branch, over the ``(Q, 1)`` sequences of a
+    :class:`_WallGroup` step and ray targets broadcasting to ``(Q, P)``.  Zero-length
+    walls never get here: :func:`mirror_point` rejects them when the frame
+    is built.
 
-    Returns ``(hit_x, hit_y, ok)`` where ``ok[i]`` means ray ``i`` crosses
-    the wall segment at the returned point.
+    Returns ``(hit_x, hit_y, ok)`` where ``ok`` means the ray crosses the
+    wall segment at the returned point.
     """
-    px, py = start.x, start.y
+    px, py, qx, qy, sx, sy, seg_len = step
     rx = target_x - px
     ry = target_y - py
-    qx, qy = seg.start.x, seg.start.y
-    sx = seg.end.x - qx
-    sy = seg.end.y - qy
-    qpx = qx - px  # q - p is shared by every ray (same origin).
+    qpx = qx - px  # q - p is shared by every ray of a sequence (same origin).
     qpy = qy - py
-    rxs = rx * sy - ry * sx  # cross(r, s), (P,)
-    qp_x_r = qpx * ry - qpy * rx  # cross(q - p, r), (P,)
-    qp_x_s = qpx * sy - qpy * sx  # cross(q - p, s), scalar
+    rxs = rx * sy - ry * sx  # cross(r, s)
+    qp_x_r = qpx * ry - qpy * rx  # cross(q - p, r)
+    qp_x_s = qpx * sy - qpy * sx  # cross(q - p, s), per sequence
     parallel = np.abs(rxs) < _EPS
     rxs_safe = np.where(parallel, 1.0, rxs)
     t_np = qp_x_s / rxs_safe
@@ -847,17 +878,11 @@ def _ray_segment_hits(
     hit_x = px + t_sel * rx
     hit_y = py + t_sel * ry
     # Wall containment, replicating Segment.contains_point exactly.
-    seg_len = np.hypot(sx, sy)
-    if seg_len < _EPS:
-        contains = np.hypot(hit_x - qx, hit_y - qy) <= tol
-    else:
-        rel_x = hit_x - qx
-        rel_y = hit_y - qy
-        perp = np.abs(sx * rel_y - sy * rel_x) / seg_len
-        tt = (rel_x * sx + rel_y * sy) / (seg_len * seg_len)
-        contains = (
-            (perp <= tol) & (tt >= -tol / seg_len) & (tt <= 1.0 + tol / seg_len)
-        )
+    rel_x = hit_x - qx
+    rel_y = hit_y - qy
+    perp = np.abs(sx * rel_y - sy * rel_x) / seg_len
+    tt = (rel_x * sx + rel_y * sy) / (seg_len * seg_len)
+    contains = (perp <= tol) & (tt >= -tol / seg_len) & (tt <= 1.0 + tol / seg_len)
     return hit_x, hit_y, ok_pre & contains
 
 

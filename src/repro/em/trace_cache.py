@@ -31,7 +31,7 @@ from .geometry import Point
 from .paths import PathBatch, SignalPath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .raytracer import RayTracer
+    from .raytracer import RayTracer, TraceFrame
 
 __all__ = ["TraceCache", "configure", "global_trace_cache", "reset"]
 
@@ -214,13 +214,16 @@ class TraceCache:
         rx_points,
         tx_antenna: Antenna,
         rx_antenna: Antenna,
+        frame: Optional["TraceFrame"] = None,
     ) -> PathBatch:
         """The cached batched trace for a batch of receiver points.
 
         Keys by the raw bytes of the coordinate arrays, so re-running the
         same coverage grid (across figure calls, or across repeats within
         a worker) reuses one :class:`~repro.em.paths.PathBatch` instead of
-        re-tracing.  Batch lookups are counted separately
+        re-tracing.  A miss traces against ``frame`` — the caller's
+        :meth:`~repro.em.raytracer.RayTracer.frame` of ``tx`` — when one
+        is given.  Batch lookups are counted separately
         (``em.trace_cache.batch_hits``/``batch_misses``) from per-link
         ones, since one batch stands in for hundreds of point traces.
         """
@@ -231,7 +234,9 @@ class TraceCache:
             self._record_hit(_BATCH_HITS)
             return cached  # type: ignore[return-value]
         self._record_miss(_BATCH_MISSES)
-        batch = tracer.trace_batch(tx, rx_points, tx_antenna, rx_antenna)
+        if frame is None:
+            frame = tracer.frame(tx, tx_antenna)
+        batch = frame.trace_batch(rx_points, rx_antenna)
         self._store(key, batch)
         return batch
 

@@ -23,6 +23,7 @@ from ..core.basis import (
     ChannelBasis,
     SearchSpaceTooLarge,
     _too_large_message,
+    element_frame,
 )
 from ..core.configuration import ArrayConfiguration
 from ..em.channel import (
@@ -35,7 +36,7 @@ from ..em.channel import (
 from ..em.antennas import Antenna
 from ..em.geometry import Point
 from ..em.paths import SignalPath, paths_to_cfr
-from ..em.raytracer import RayTracer
+from ..em.raytracer import RayTracer, TraceFrame
 from ..em.scene import Scene
 from ..em.trace_cache import global_trace_cache
 from ..obs.tracing import global_tracer
@@ -221,6 +222,7 @@ class Testbed:
         )
         self._environment_cache: dict[tuple, tuple[SignalPath, ...]] = {}
         self._basis_cache: dict[tuple, ChannelBasis] = {}
+        self._frames: dict[tuple, TraceFrame] = {}
         # The configuration space is fixed by the (immutable) array; its
         # enumeration is computed lazily — a wall-sized array's space can
         # never be enumerated at all (see :attr:`configurations`), but the
@@ -350,20 +352,28 @@ class Testbed:
     ) -> list[ChannelBasis]:
         """Channel bases for one TX chain against a batch of RX positions.
 
-        The position-sweep fast path (coverage maps, placement scans): one
-        :meth:`RayTracer.trace_batch` call replaces P scalar ambient traces
-        and each element's two-hop geometry is traced once for all P points
-        (:meth:`ChannelBasis.trace_batch`).  Per-point results match
-        :meth:`basis_for` against a probe device at the same position with
-        the same antenna.
+        The position-sweep and moving-user fast path: everything that
+        depends only on the scene and this TX chain — images, TX-to-element
+        legs, gains toward the TX — sits in a trace frame built once per
+        (TX chain, antenna) and kept on the testbed, so each call traces
+        only the receiver-facing legs, as a few broadcasts over all P
+        points (:meth:`ChannelBasis.trace_batch`).  Per-point results
+        match :meth:`basis_for` against a probe device at the same
+        position with the same antenna.
         """
         tx = tx_device.chains[tx_chain]
         with global_tracer().span(_SPAN_BASES_FOR_POINTS):
+            key = (tx.position.as_tuple(), tx.antenna)
+            frame = self._frames.get(key)
+            if frame is None:
+                frame = self._frames[key] = element_frame(
+                    self.array, self.tracer, tx.position, tx.antenna
+                )
             # The ambient batch is value-cached process-wide: coverage runs
             # that revisit a (scene, TX, grid) — e.g. no-array vs pattern
             # phases of the same placement — trace the grid once.
             ambient = global_trace_cache().get_or_trace_batch(
-                self.tracer, tx.position, rx_points, tx.antenna, rx_antenna
+                self.tracer, tx.position, rx_points, tx.antenna, rx_antenna, frame
             )
             return ChannelBasis.trace_batch(
                 self.array,
@@ -375,6 +385,7 @@ class Testbed:
                 num_subcarriers=self.num_subcarriers,
                 bandwidth_hz=self.bandwidth_hz,
                 ambient=ambient,
+                frame=frame,
             )
 
     def snr_function(

@@ -903,9 +903,11 @@ class EnvironmentService:
         """Run one multi-link strategy, on the shared pool when configured.
 
         Per-link bases are traced in the event-loop process through the
-        batched ``bases_for_points`` path (value-cached process-wide, so
-        repeated joint requests re-trace nothing), then shipped with the
-        strategy parameters to the picklable ``work.joint_task``.  The
+        batched ``bases_for_points`` path, then shipped with the strategy
+        parameters to the picklable ``work.joint_task``.  The session's
+        testbed keeps the scene's trace frame, so each request traces only
+        its users' receiver-facing legs; the ambient batch is cached by
+        point values, but the element geometry is traced on every call.  The
         task is a pure function of its arguments, so responses are
         bit-identical to a direct ``optimize_joint`` call over the same
         bases regardless of batch window or pool routing.

@@ -132,8 +132,10 @@ def coverage_task(
 
     Row-major point order (matching the coverage experiment); the whole
     grid's geometry goes through one batched trace via
-    ``Testbed.bases_for_points``, which is itself value-cached
-    process-wide, so repeated coverage requests re-trace nothing.
+    ``Testbed.bases_for_points``.  The session's testbed keeps the
+    scene's trace frame and the process-wide trace cache keeps the
+    grid's ambient batch, so a repeated request re-traces only the
+    element geometry toward the grid.
     """
     setup = session.setup
     rx0 = setup.rx_device.position
