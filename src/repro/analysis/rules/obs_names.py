@@ -17,10 +17,10 @@ conventions:
   scopes hold ``*_handle`` objects instead;
 * instrument names match ``seg.seg[.seg[.seg]]`` of lowercase
   ``snake_case`` segments; histogram names carry an explicit unit suffix;
-* ``global_tracer().span(...)`` — and the request-scoped
-  ``request_span(...)``/``emit_request_span(...)`` — take a module-level
-  string constant (``_SPAN_SWEEP = "testbed.sweep"``) so every span name
-  is statically registered exactly once.
+* ``global_tracer().span(...)`` — and its timestamped twin
+  ``global_tracer().emit_span(...)`` — take a module-level string
+  constant (``_SPAN_SWEEP = "testbed.sweep"``) so every span name is
+  statically registered exactly once.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ _HANDLE_FACTORIES = {
     "histogram_handle": "histogram",
 }
 
-#: Request-scoped span entry points: first argument is a span name under
-#: the same module-level-constant discipline as ``tracer.span``.
-_REQUEST_SPAN_FUNCTIONS = ("request_span", "emit_request_span")
+#: Tracer methods whose first argument is a span name under the
+#: module-level-constant discipline.
+_SPAN_METHODS = ("span", "emit_span")
 
 
 def _module_level_captures(tree: ast.Module) -> set:
@@ -91,16 +91,12 @@ def _registry_call(
 
 def _span_call(node: ast.Call, context: LintContext) -> bool:
     func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "span":
+    if isinstance(func, ast.Attribute) and func.attr in _SPAN_METHODS:
         target = func.value
         if isinstance(target, ast.Call):
             resolved = context.imports.resolve(target.func)
             return resolved is not None and resolved.endswith("global_tracer")
-        return False
-    resolved = context.imports.resolve(func)
-    if resolved is None:
-        return False
-    return resolved.rsplit(".", 1)[-1] in _REQUEST_SPAN_FUNCTIONS
+    return False
 
 
 class ObsNamingRule(Rule):

@@ -46,7 +46,6 @@ from .runner import (
     available_cpus,
     derive_seeds,
     merged_telemetry,
-    process_telemetry,
     resolve_jobs,
     run_parallel,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "resolve_jobs",
     "derive_seeds",
     "run_parallel",
-    "process_telemetry",
     "merged_telemetry",
     "ControlRobustnessCell",
     "ControlRobustnessResult",

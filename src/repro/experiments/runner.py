@@ -17,8 +17,7 @@ how those axes fan out:
 * With ``collect_obs=True``, :func:`run_parallel` also returns each task's
   observability delta — the per-worker metrics/span sample the run-record
   sink merges into a complete run-level view at any ``--jobs``
-  (:func:`merged_telemetry`), fixing the parent-only blind spot the old
-  :func:`process_telemetry` documented.
+  (:func:`merged_telemetry`), parent and workers alike.
 
 Task functions must be module-level (picklable) and tasks/results must
 survive a round-trip through pickle; every experiment's task payload here
@@ -30,16 +29,14 @@ from __future__ import annotations
 
 import atexit
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from ..obs.context import RequestCapture, RequestContext, bind_context, request_span
 from ..obs.records import ObsSample, current_sample, merge_samples
-from ..obs.tracing import global_tracer
+from ..obs.tracing import RequestCapture, RequestContext, bind_context, global_tracer
 
 __all__ = [
     "available_cpus",
@@ -49,7 +46,6 @@ __all__ = [
     "shared_pool",
     "warm_pool",
     "shutdown_shared_pools",
-    "process_telemetry",
     "merged_telemetry",
 ]
 
@@ -91,40 +87,15 @@ def derive_seeds(base_seed: int, count: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(base_seed).spawn(count)
 
 
-def process_telemetry() -> dict:
-    """Deprecated: trace-cache counters for *this process only*.
-
-    Use :func:`merged_telemetry` (fed by ``run_parallel(collect_obs=True)``
-    samples), which aggregates across worker processes instead of seeing
-    only the parent.  Kept as a thin shim for callers of the old API.
-    """
-    warnings.warn(
-        "process_telemetry() sees only the parent process; use "
-        "merged_telemetry() with run_parallel(collect_obs=True) samples "
-        "for complete cross-worker totals",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..em.trace_cache import global_trace_cache
-
-    cache = global_trace_cache()
-    return {
-        "trace_cache_hits": cache.hits,
-        "trace_cache_misses": cache.misses,
-        "trace_cache_entries": len(cache),
-    }
-
-
 def merged_telemetry(
     worker_samples: Sequence[ObsSample] = (),
     since: Optional[ObsSample] = None,
 ) -> dict:
     """Run-level trace-cache totals: parent *plus* every worker.
 
-    The successor of :func:`process_telemetry`: merges the parent process's
-    registry (optionally only its delta ``since`` a sample taken at run
-    start) with the per-task worker samples ``run_parallel(collect_obs=
-    True)`` returned.  Hit/miss totals cover per-link and batched lookups;
+    Merges the parent process's registry (optionally only its delta
+    ``since`` a sample taken at run start) with the per-task worker
+    samples ``run_parallel(collect_obs=True)`` returned.  Hit/miss totals cover per-link and batched lookups;
     ``trace_cache_entries`` sums residency over the distinct processes.
     """
     parent = current_sample()
@@ -219,7 +190,9 @@ class _ObservedTask:
     before and after the task, wraps the task in a ``task.<fn name>`` span,
     and returns ``(result, delta)``.  Per-task deltas (not cumulative
     snapshots) mean a worker that handles many tasks is never
-    double-counted when the parent merges all samples.
+    double-counted when the parent merges all samples.  Like every span,
+    the task span parents on the bound context: on the serial path that
+    is the caller's open span, so the task nests under it.
     """
 
     __slots__ = ("fn", "span_name")
@@ -238,31 +211,30 @@ class _ObservedTask:
         return result, current_sample().delta(before)
 
 
-#: The request-scoped span a pool worker wraps its task in.  The emitted
-#: record carries the worker's pid and the parent (batch) span id from the
+#: The span a pool worker wraps a traced task in.  The emitted record
+#: carries the worker's pid and the parent (batch) span id from the
 #: shipped context, which is what lets a cross-process timeline stitch.
 _SPAN_WORKER = "task.worker"
 
 
-def traced_call(wire, fn, *args):
+def traced_call(context: Optional[RequestContext], fn, *args):
     """Run ``fn(*args)`` stitched into a request trace (pool-worker entry).
 
-    ``wire`` is a :meth:`~repro.obs.context.RequestContext.to_wire` tuple
-    (or ``None`` for an untraced call).  The call runs under the shipped
-    context inside a ``task.worker`` request span, and every request-scoped
-    span the task emits is captured and returned as plain dicts alongside
-    the result — the event-loop process merges them into its
-    :class:`~repro.obs.context.RequestTraceStore`, completing the
-    cross-process timeline.  Tracing never changes ``fn``'s result: the
-    wrapper adds clock reads only, and none at all when ``wire`` is
-    ``None`` or observability is disabled in the worker.
+    ``context`` is the request's :class:`~repro.obs.tracing.RequestContext`
+    (shipped to the worker as it is), or ``None`` for an untraced call.
+    The call runs bound to that context inside a ``task.worker`` span, and
+    every span of the request emitted meanwhile is captured and returned
+    as plain dicts alongside the result — the event-loop process merges
+    them into its :class:`~repro.obs.tracing.RequestTraceStore`,
+    completing the cross-process timeline.  Tracing never changes ``fn``'s
+    result: the wrapper adds clock reads only, and none at all when
+    ``context`` is ``None`` or observability is disabled in the worker.
     """
-    if wire is None:
+    if context is None:
         return fn(*args), ()
-    context = RequestContext.from_wire(wire)
     with RequestCapture(context.request_id) as capture:
         with bind_context(context):
-            with request_span(_SPAN_WORKER, context):
+            with global_tracer().span(_SPAN_WORKER):
                 result = fn(*args)
     return result, tuple(record.as_dict() for record in capture.records)
 

@@ -1,29 +1,22 @@
 """Unified observability: metrics registry, span tracing, run records.
 
 See DESIGN.md "Observability" for the instrument naming scheme, span
-hierarchy, and run-record schema.  Quick tour:
+model, and run-record schema.  Quick tour:
 
 * :func:`global_registry` — process-local counters/gauges/histograms that
   every subsystem (``em.trace_cache``, ``em.raytracer``, ``core.basis``,
   ``control.protocol``, ``core.controller``) registers instruments in.
-* :func:`global_tracer` — context-manager spans for coarse phases.
+* :func:`global_tracer` — one span model for phases and requests alike:
+  every span gets an id and a parent from the :class:`RequestContext`
+  bound in one context variable (:func:`bind_context`), so a request's
+  spans stitch into one timeline (:func:`stitch_timeline`) across tasks
+  and processes.
 * :class:`RunRecorder` — assembles one schema-validated JSONL run record
   per experiment, merging parent and worker observability deltas.
 * :func:`set_enabled` / ``REPRO_OBS=0`` — global on/off switch; results
   are bit-identical either way (instruments never touch random streams).
 """
 
-from .context import (
-    RequestCapture,
-    RequestContext,
-    RequestTraceStore,
-    bind_context,
-    current_context,
-    emit_request_span,
-    new_request_id,
-    request_span,
-    stitch_timeline,
-)
 from .metrics import (
     Counter,
     CounterHandle,
@@ -58,13 +51,20 @@ from .records import (
     validate_record,
 )
 from .tracing import (
+    RequestCapture,
+    RequestContext,
+    RequestTraceStore,
     SpanRecord,
     SpanSummary,
     SpanTracer,
+    bind_context,
+    current_context,
     global_tracer,
     merge_span_summaries,
+    new_request_id,
     new_span_id,
     reset_tracing,
+    stitch_timeline,
 )
 
 __all__ = [
@@ -109,9 +109,7 @@ __all__ = [
     "RequestTraceStore",
     "bind_context",
     "current_context",
-    "emit_request_span",
     "new_request_id",
-    "request_span",
     "stitch_timeline",
 ]
 
@@ -123,7 +121,9 @@ def reset_observability(clear: bool = False) -> None:
     and sinks registered since import — full isolation between test
     phases.  Library modules hold stale-proof handles
     (:func:`counter_handle` and friends), so their recording continues
-    seamlessly into the fresh registry.
+    seamlessly into the fresh registry, and a serving
+    :class:`RequestTraceStore` re-attaches to the fresh tracer on its
+    next request.
     """
     reset_metrics(clear=clear)
     reset_tracing(clear=clear)

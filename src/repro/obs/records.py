@@ -15,8 +15,7 @@ The aggregation primitive is :class:`ObsSample` — a picklable
 takes a sample delta around every task in every worker; the parent merges
 those deltas with its own delta over the whole experiment body.  Because
 counters and histogram bins are integers, the merged totals are exact at
-any ``--jobs`` value — the per-process blind spot the old
-``process_telemetry()`` documented is gone.
+any ``--jobs`` value, worker processes included.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ class RunRecorder:
 
         ``traces`` maps request ids to their
         :class:`~repro.obs.tracing.SpanRecord` sequences — typically a
-        :meth:`~repro.obs.context.RequestTraceStore.drain` from the
+        :meth:`~repro.obs.tracing.RequestTraceStore.drain` from the
         serving layer, already merged across the event-loop process and
         any pool workers.  Calling repeatedly extends per-request lists.
         """

@@ -1,14 +1,34 @@
-"""Lightweight span tracer: nested wall-clock phases, ring-buffered.
+"""One span model: id-linked spans, request contexts, cross-process stitching.
 
 Spans mark the coarse phases of a run — a geometry trace, a configuration
-sweep, one parallel task — with monotonic (``time.perf_counter``) timings
-and parent/child nesting, so ``repro report`` can render a per-phase
-wall-clock breakdown.  Two properties keep tracing safe for a
-reproducibility-obsessed codebase:
+sweep, one parallel task, one served request's queue wait — with
+monotonic (``time.perf_counter``) timings, so ``repro report`` can render
+a per-phase wall-clock breakdown and a request's latency splits by stage.
 
-* spans live only at *phase* boundaries, never inside seeded hot loops,
-  and read no random streams — results are bit-identical with tracing on
-  or off (:func:`repro.obs.metrics.set_enabled` disables the clock reads
+Every span links to its parent by id, never by name or position:
+
+* a :class:`RequestContext` (request id or ``None``, plus the id of the
+  open span) rides one :mod:`contextvars` variable;
+* :meth:`SpanTracer.span` mints a process-unique span id, parents it on
+  the bound context, inherits the context's request id and re-binds the
+  context for the block, so children attach to it.  Asyncio tasks copy
+  the variable, so spans that interleave across ``await`` points still
+  parent correctly, and the frozen context pickles as it is, so a pool
+  worker's spans stitch under the request that shipped them;
+* :meth:`SpanTracer.emit_span` records a span from explicit timestamps
+  for phases whose two ends live in different call frames (queue wait);
+* :class:`RequestTraceStore` collects a request's spans as a tracer sink,
+  :class:`RequestCapture` grabs them in a worker so the pool can ship them
+  back, and :func:`stitch_timeline` rebuilds the tree from ``parent_id``
+  chains — ids embed the minting pid, so links hold across processes even
+  though ``start_s`` clocks do not compare across them.
+
+Two properties keep tracing safe for a reproducibility-obsessed codebase:
+
+* spans live only at *phase* boundaries, never inside seeded hot loops;
+  ids come from per-process counters and no code here reads a random
+  stream — results are bit-identical with tracing on or off
+  (:func:`repro.obs.metrics.set_enabled` disables the clock reads
   entirely);
 * completed spans land in a bounded ring buffer (old spans fall off), and
   a cumulative per-name aggregate (count, total, min, max) is maintained
@@ -25,7 +45,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque
+from collections import OrderedDict, deque
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -41,22 +63,30 @@ from typing import (
 from .metrics import enabled
 
 __all__ = [
+    "RequestCapture",
+    "RequestContext",
+    "RequestTraceStore",
     "SpanRecord",
     "SpanSummary",
     "SpanTracer",
+    "bind_context",
+    "current_context",
     "global_tracer",
+    "merge_span_summaries",
+    "new_request_id",
     "new_span_id",
     "reset_tracing",
-    "merge_span_summaries",
+    "stitch_timeline",
 ]
 
 #: Completed spans kept in the ring buffer (per process).
 DEFAULT_CAPACITY = 4096
 
-#: Per-process monotonic span-id sequence.  Ids are ``"<pid:x>-<seq:x>"``
-#: so spans minted by a pool worker can never collide with the parent's —
-#: the property cross-process request stitching rests on.
+#: Per-process monotonic id sequences (no entropy — RPL003).  Ids embed
+#: the pid so spans minted by a pool worker can never collide with the
+#: parent's — the property cross-process request stitching rests on.
 _SPAN_SEQ = 0
+_REQUEST_SEQ = 0
 
 
 def new_span_id() -> str:
@@ -66,18 +96,61 @@ def new_span_id() -> str:
     return f"{os.getpid():x}-{_SPAN_SEQ:x}"
 
 
+def new_request_id() -> str:
+    """Mint a process-unique request id (``"r<pid hex>-<seq hex>"``)."""
+    global _REQUEST_SEQ
+    _REQUEST_SEQ += 1
+    return f"r{os.getpid():x}-{_REQUEST_SEQ:x}"
+
+
+@dataclass(frozen=True)
+class RequestContext:
+    """Which request the current code works for, and which span is open.
+
+    ``request_id`` is ``None`` outside any request: spans still nest by
+    id there, they just belong to no request timeline.
+    ``parent_span_id`` is the id of the innermost open span — the span
+    opened next attaches to it (empty for a root).  Contexts are
+    immutable values: opening a span *re-binds* the context variable
+    rather than mutating anything, which is what makes propagation across
+    asyncio tasks and pickled worker payloads safe.
+    """
+
+    request_id: Optional[str] = None
+    parent_span_id: str = ""
+
+
+_CONTEXT: ContextVar[Optional[RequestContext]] = ContextVar(
+    "repro_obs_request_context", default=None
+)
+
+
+def current_context() -> Optional[RequestContext]:
+    """The bound context, or ``None`` outside any span or request."""
+    return _CONTEXT.get()
+
+
+@contextmanager
+def bind_context(context: Optional[RequestContext]):
+    """Bind ``context`` (``None`` clears it) for the block."""
+    token = _CONTEXT.set(context)
+    try:
+        yield context
+    finally:
+        _CONTEXT.reset(token)
+
+
 @dataclass(slots=True)
 class SpanRecord:
     """One completed span.
 
-    ``start_s`` is monotonic time relative to the tracer's epoch (its
-    construction), so records from one process order and nest correctly;
-    they are not comparable across processes.  The stitching fields
-    (``span_id``/``parent_id``/``request_id``/``pid``) are populated for
-    request-scoped spans (:func:`repro.obs.context.request_span`): a
-    request's timeline reconstructs from the ``parent_id`` chain alone,
-    which stays valid across process boundaries where ``start_s`` does
-    not.
+    ``start_s`` is monotonic time relative to the emitting tracer's epoch,
+    so records from one process order correctly; they are not comparable
+    across processes.  ``span_id``/``parent_id`` link the span into its
+    tree, and ``request_id``/``pid`` say which request and process it
+    belongs to: a request's timeline reconstructs from the ``parent_id``
+    chain alone, which stays valid across process boundaries where
+    ``start_s`` does not.
 
     Deliberately *not* frozen: records are constructed on the serving
     hot path (several per traced request), and a frozen dataclass pays
@@ -88,8 +161,6 @@ class SpanRecord:
     name: str
     start_s: float
     duration_s: float
-    parent: Optional[str]
-    depth: int
     span_id: str = ""
     parent_id: Optional[str] = None
     request_id: Optional[str] = None
@@ -101,8 +172,6 @@ class SpanRecord:
             "name": self.name,
             "start_s": self.start_s,
             "duration_s": self.duration_s,
-            "parent": self.parent,
-            "depth": self.depth,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "request_id": self.request_id,
@@ -111,12 +180,15 @@ class SpanRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpanRecord":
+        """Inverse of :meth:`as_dict`.
+
+        Older records also carry name-stack ``parent``/``depth`` fields;
+        they are ignored, the id fields hold the same links.
+        """
         return cls(
             name=str(data["name"]),
             start_s=float(data["start_s"]),
             duration_s=float(data["duration_s"]),
-            parent=None if data.get("parent") is None else str(data["parent"]),
-            depth=int(data.get("depth", 0)),
             span_id=str(data.get("span_id", "")),
             parent_id=(
                 None
@@ -205,39 +277,35 @@ class _SpanContext:
     """The context manager :meth:`SpanTracer.span` hands out.
 
     Hand-rolled (not ``contextlib``) to keep per-span overhead at two
-    ``perf_counter`` calls plus a few attribute writes.
+    ``perf_counter`` calls plus a context-variable set/reset.
     """
 
-    __slots__ = ("_tracer", "_name", "_start")
+    __slots__ = ("_tracer", "_name", "_span_id", "_token", "_start")
 
     def __init__(self, tracer: "SpanTracer", name: str) -> None:
         self._tracer = tracer
         self._name = name
 
     def __enter__(self) -> "_SpanContext":
-        self._tracer._stack.append(self._name)
+        outer = _CONTEXT.get()
+        self._span_id = span_id = new_span_id()
+        self._token = _CONTEXT.set(
+            RequestContext(None if outer is None else outer.request_id, span_id)
+        )
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         end = time.perf_counter()
-        self._tracer._close(self._name, self._start, end)
+        # Resetting re-binds the outer context, which is exactly the
+        # parent and request the record must carry.
+        _CONTEXT.reset(self._token)
+        self._tracer.emit_span(self._name, self._start, end, span_id=self._span_id)
         return None
 
 
-class _NullContext:
-    """No-op span: zero clock reads when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
+#: The no-op span handed out when tracing is disabled: zero clock reads.
+_NULL_CONTEXT = nullcontext()
 
 
 class SpanTracer:
@@ -249,17 +317,16 @@ class SpanTracer:
         self.capacity = capacity
         self._epoch = time.perf_counter()
         self._buffer: Deque[SpanRecord] = deque(maxlen=capacity)
-        self._stack: List[str] = []
         # name -> [count, total_s, min_s, max_s]; mutated in place on the
         # hot path, materialized into SpanSummary values on demand.
         self._aggregates: Dict[str, List[float]] = {}
         self._sinks: List[Callable[[SpanRecord], None]] = []
 
     def span(self, name: str) -> object:
-        """A context manager timing one phase.
+        """A context manager timing one phase under the bound context.
 
-        Nesting is tracked via the open-span stack: a span opened while
-        another is open records that span as its parent.  When
+        The span parents on the bound context's open span, inherits its
+        request id, and is the open span for the block.  When
         observability is disabled the returned context performs no clock
         reads at all.
         """
@@ -267,29 +334,47 @@ class SpanTracer:
             return _NULL_CONTEXT
         return _SpanContext(self, name)
 
-    def _close(self, name: str, start: float, end: float) -> None:
-        self._stack.pop()
-        parent = self._stack[-1] if self._stack else None
+    def emit_span(
+        self,
+        name: str,
+        start_monotonic_s: float,
+        end_monotonic_s: float,
+        context: Optional[RequestContext] = None,
+        span_id: Optional[str] = None,
+    ) -> Optional[str]:
+        """Record one span from explicit ``perf_counter`` timestamps.
+
+        For phases whose start and end happen in *different* call frames
+        (queue wait: stamped at submit, closed at batch flush) where a
+        context manager cannot bracket the phase.  The span parents on
+        ``context`` (default: the bound one) and takes its request id.
+        ``span_id`` reuses a pre-minted id, e.g. one batch span shared by
+        every member request.  Returns the span id, or ``None`` when
+        observability is disabled.
+        """
+        if not enabled():
+            return None
+        if context is None:
+            context = _CONTEXT.get()
+        if span_id is None:
+            span_id = new_span_id()
         self.emit(
             SpanRecord(
                 name=name,
-                start_s=start - self._epoch,
-                duration_s=end - start,
-                parent=parent,
-                depth=len(self._stack),
+                start_s=start_monotonic_s - self._epoch,
+                duration_s=end_monotonic_s - start_monotonic_s,
+                span_id=span_id,
+                parent_id=(
+                    None if context is None else context.parent_span_id or None
+                ),
+                request_id=None if context is None else context.request_id,
+                pid=os.getpid(),
             )
         )
+        return span_id
 
     def emit(self, record: SpanRecord) -> None:
-        """Record one completed span: ring buffer, aggregates, sinks.
-
-        The entry request-scoped spans (and cross-process re-imports of
-        worker spans) use — they manage their own parent links through
-        explicit ``span_id``/``parent_id`` fields instead of the tracer's
-        name stack, which only pairs correctly for code that cannot
-        interleave (the asyncio service interleaves batches across
-        ``await`` points, so per-request spans must not share the stack).
-        """
+        """Record one completed span: ring buffer, aggregates, sinks."""
         self._buffer.append(record)
         duration = record.duration_s
         stats = self._aggregates.get(record.name)
@@ -339,7 +424,7 @@ class SpanTracer:
         }
 
     def reset(self) -> None:
-        """Drop all records and aggregates (open spans keep nesting)."""
+        """Drop all records and aggregates (open spans still close)."""
         self._buffer.clear()
         self._aggregates.clear()
         self._epoch = time.perf_counter()
@@ -358,9 +443,152 @@ def reset_tracing(clear: bool = False) -> None:
 
     ``clear=True`` replaces the tracer object itself (dropping sinks test
     code may have attached), mirroring ``reset_metrics(clear=True)``.
+    A :class:`RequestTraceStore` follows the replacement on its next
+    :meth:`~RequestTraceStore.attach`.
     """
     global _TRACER
     if clear:
         _TRACER = SpanTracer()
     else:
         _TRACER.reset()
+
+
+class RequestTraceStore:
+    """Bounded per-request collection of stitched span records.
+
+    The serving layer keeps one of these attached as a sink of the live
+    global tracer for its lifetime: every request-scoped span emitted
+    in-process lands here, and worker-captured records are merged in
+    explicitly via :meth:`extend`.  At most ``capacity`` distinct
+    requests are kept; when full, the *oldest* request's records are
+    evicted wholesale (a live service keeps the most recent timelines,
+    which is what an operator tailing the stream wants).
+    """
+
+    def __init__(self, capacity: int = 256) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._traces: "OrderedDict[str, List[SpanRecord]]" = OrderedDict()
+        self._tracer: Optional[SpanTracer] = None
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def attach(self) -> None:
+        """Subscribe :meth:`sink` to the live global tracer.
+
+        Idempotent and one identity check when nothing changed, so the
+        service calls it per request: after ``reset_tracing(clear=True)``
+        replaced the tracer, the store moves its subscription to the new
+        one instead of listening to the discarded tracer forever.
+        """
+        tracer = global_tracer()
+        if tracer is not self._tracer:
+            self.detach()
+            tracer.add_sink(self.sink)
+            self._tracer = tracer
+
+    def detach(self) -> None:
+        """Unsubscribe from the tracer :meth:`attach` last joined."""
+        if self._tracer is not None:
+            self._tracer.remove_sink(self.sink)
+            self._tracer = None
+
+    def sink(self, record: SpanRecord) -> None:
+        """Tracer-sink entry: keep request-scoped records only."""
+        if record.request_id is None:
+            return
+        self.add(record)
+
+    def add(self, record: SpanRecord) -> None:
+        if record.request_id is None:
+            return
+        records = self._traces.get(record.request_id)
+        if records is None:
+            records = self._traces[record.request_id] = []
+            while len(self._traces) > self.capacity:
+                self._traces.popitem(last=False)
+        records.append(record)
+
+    def extend(self, records: Iterable[SpanRecord]) -> None:
+        """Merge records captured elsewhere (workers) into the store."""
+        for record in records:
+            self.add(record)
+
+    def traces(self) -> Dict[str, Tuple[SpanRecord, ...]]:
+        """Current request timelines, insertion-ordered."""
+        return {
+            request_id: tuple(records)
+            for request_id, records in self._traces.items()
+        }
+
+    def drain(self) -> Dict[str, Tuple[SpanRecord, ...]]:
+        """Return and clear the stored timelines."""
+        traces = self.traces()
+        self._traces.clear()
+        return traces
+
+
+class RequestCapture:
+    """Capture one request's stitched spans within a ``with`` block.
+
+    Worker processes wrap their task in one of these so the pool result
+    can carry the worker-side timeline back to the event-loop process::
+
+        with bind_context(ctx), RequestCapture(ctx.request_id) as capture:
+            result = fn(*args)
+        return result, [r.as_dict() for r in capture.records]
+    """
+
+    def __init__(self, request_id: Optional[str]) -> None:
+        self.request_id = request_id
+        self.records: List[SpanRecord] = []
+
+    def _sink(self, record: SpanRecord) -> None:
+        if record.request_id == self.request_id:
+            self.records.append(record)
+
+    def __enter__(self) -> "RequestCapture":
+        global_tracer().add_sink(self._sink)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        global_tracer().remove_sink(self._sink)
+        return None
+
+
+def stitch_timeline(
+    records: Iterable[SpanRecord],
+) -> List[SpanRecord]:
+    """Order one request's records into a parent-before-child timeline.
+
+    Pure structural reconstruction: roots (no ``parent_id``, or parent
+    not present in the set) come first, children follow their parents
+    depth-first in emission order.  It deliberately never compares
+    ``start_s`` across records — records from different processes have
+    different epochs, and the ``parent_id`` chain is the only
+    cross-process ground truth.
+    """
+    pool = list(records)
+    by_parent: Dict[Optional[str], List[SpanRecord]] = {}
+    ids = {record.span_id for record in pool if record.span_id}
+    for record in pool:
+        parent = record.parent_id if record.parent_id in ids else None
+        by_parent.setdefault(parent, []).append(record)
+    ordered: List[SpanRecord] = []
+    visited: set = set()
+
+    def _walk(parent: Optional[str]) -> None:
+        for record in by_parent.get(parent, []):
+            ordered.append(record)
+            if record.span_id and record.span_id not in visited:
+                visited.add(record.span_id)
+                _walk(record.span_id)
+
+    _walk(None)
+    # Records whose parent chain is cyclic/broken still surface at the end.
+    if len(ordered) < len(pool):
+        seen = {id(record) for record in ordered}
+        ordered.extend(r for r in pool if id(r) not in seen)
+    return ordered

@@ -9,7 +9,6 @@ over all array configurations (Figures 4-6), frequency-selectivity pairs
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -511,7 +510,6 @@ class Testbed:
         rng: Optional[np.random.Generator] = None,
         used_mask: Optional[np.ndarray] = None,
         mode: str = "basis",
-        used_only_mask: Optional[np.ndarray] = None,
     ) -> SweepResult:
         """Iterate all configurations ``repetitions`` times (the §3.2 loop).
 
@@ -524,23 +522,9 @@ class Testbed:
         measure-per-configuration route.  Both modes draw from ``rng`` in
         the same order, so identical seeds give identical results (to
         machine precision) either way.
-
-        ``used_only_mask`` is a deprecated alias for ``used_mask``.
         """
         if repetitions <= 0:
             raise ValueError(f"repetitions must be positive, got {repetitions}")
-        if used_only_mask is not None:
-            warnings.warn(
-                "Testbed.sweep's used_only_mask is deprecated; "
-                "pass used_mask instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if used_mask is not None:
-                raise ValueError(
-                    "pass either used_mask or the deprecated used_only_mask, not both"
-                )
-            used_mask = used_only_mask
         if mode not in ("basis", "legacy"):
             raise ValueError(f"mode must be 'basis' or 'legacy', got {mode!r}")
         configurations = self.configurations

@@ -44,15 +44,6 @@ import numpy as np
 
 from ..em.geometry import Point
 from ..experiments.runner import resolve_jobs, shared_pool, traced_call
-from ..obs.context import (
-    RequestContext,
-    RequestTraceStore,
-    bind_context,
-    current_context,
-    emit_request_span,
-    new_request_id,
-    stitch_timeline,
-)
 from ..obs.export import TelemetryStreamer
 from ..obs.metrics import (
     counter_handle,
@@ -61,7 +52,17 @@ from ..obs.metrics import (
     histogram_handle,
     monotonic_s,
 )
-from ..obs.tracing import SpanRecord, global_tracer, new_span_id
+from ..obs.tracing import (
+    RequestContext,
+    RequestTraceStore,
+    SpanRecord,
+    bind_context,
+    current_context,
+    global_tracer,
+    new_request_id,
+    new_span_id,
+    stitch_timeline,
+)
 from ..sdr.testbed import sweep_basis_snr
 from . import work
 from .scenarios import ScenarioSession, ScenarioSpec, build_session
@@ -444,7 +445,7 @@ class EnvironmentService:
         self.session_evictions = 0
         self.trace_store = RequestTraceStore(capacity=config.trace_capacity)
         self._trace_counter = 0
-        global_tracer().add_sink(self.trace_store.sink)
+        self.trace_store.attach()
         self._telemetry_task: Optional[asyncio.Task] = None
         self._streamer: Optional[TelemetryStreamer] = None
 
@@ -464,7 +465,7 @@ class EnvironmentService:
             self._flush(spec)
         while self._executions:
             await asyncio.gather(*list(self._executions), return_exceptions=True)
-        global_tracer().remove_sink(self.trace_store.sink)
+        self.trace_store.detach()
         if self._telemetry_task is not None:
             self._telemetry_task.cancel()
             try:
@@ -529,7 +530,7 @@ class EnvironmentService:
         When observability is enabled, every request feeds the per-type
         latency histograms, and sampled requests (every
         ``trace_sample``-th, plus every request submitted under a bound
-        :func:`repro.obs.context.current_context` such as
+        :func:`repro.obs.tracing.current_context` such as
         ``ServiceClient.bind``) are traced end to end: a root
         ``serve.request`` span brackets admission to reply, with
         ``serve.queue``/``serve.batch_member`` children (and worker-side
@@ -548,10 +549,19 @@ class EnvironmentService:
         self._ensure_telemetry()
         trace: Optional[_RequestTrace] = None
         if enabled():
+            # Follow the live tracer: reset_observability(clear=True) may
+            # have replaced the one the store was subscribed to.
+            self.trace_store.attach()
             caller = current_context()
-            if caller is not None or self._sample_next():
-                if caller is None:
-                    caller = RequestContext(request_id=new_request_id())
+            if caller is None or caller.request_id is None:
+                # Not inside a request (at most inside a plain span):
+                # trace a fresh request when the sample picks this one.
+                caller = (
+                    RequestContext(new_request_id())
+                    if self._sample_next()
+                    else None
+                )
+            if caller is not None:
                 root_id = new_span_id()
                 trace = _RequestTrace(
                     context=RequestContext(caller.request_id, root_id),
@@ -598,14 +608,11 @@ class EnvironmentService:
         """Close a traced request: root span + per-type latency sample."""
         t_end = monotonic_s()
         if trace.context is not None:
-            emit_request_span(
+            global_tracer().emit_span(
                 _SPAN_REQUEST,
-                RequestContext(
-                    request_id=trace.context.request_id,
-                    parent_span_id=trace.parent_id or "",
-                ),
                 trace.t_submit,
                 t_end,
+                RequestContext(trace.context.request_id, trace.parent_id or ""),
                 span_id=trace.root_id,
             )
         if ok:
@@ -647,8 +654,8 @@ class EnvironmentService:
             # emitted from explicit timestamps rather than bracketed.
             t_flush = monotonic_s()
             for trace in traced:
-                emit_request_span(
-                    _SPAN_QUEUE, trace.context, trace.t_submit, t_flush
+                global_tracer().emit_span(
+                    _SPAN_QUEUE, trace.t_submit, t_flush, trace.context
                 )
         task = asyncio.get_running_loop().create_task(
             self._execute_batch(spec, batch)
@@ -693,7 +700,13 @@ class EnvironmentService:
         batch_span_id = new_span_id() if traced else ""
         t_batch = monotonic_s() if traced else 0.0
         try:
-            with global_tracer().span(_SPAN_BATCH):
+            # The task copied the context of whichever submit created it,
+            # but the flush serves every member: bound to no request, its
+            # own spans (serve.batch, serve.session_build, a joint's
+            # trace) join no request's timeline.  Members get
+            # serve.batch_member records below, and worker spans carry
+            # their request's context explicitly.
+            with bind_context(None), global_tracer().span(_SPAN_BATCH):
                 try:
                     session = self._session(spec)
                 except Exception as error:  # scene build failed: fail the batch
@@ -720,11 +733,11 @@ class EnvironmentService:
                 # and worker spans hang off it via ``batch_span_id``.
                 t_end = monotonic_s()
                 for trace in traced:
-                    emit_request_span(
+                    global_tracer().emit_span(
                         _SPAN_BATCH_MEMBER,
-                        trace.context,
                         t_batch,
                         t_end,
+                        trace.context,
                         span_id=batch_span_id,
                     )
 
@@ -800,10 +813,10 @@ class EnvironmentService:
         raise TypeError(f"unknown request type {type(request).__name__}")
 
     @staticmethod
-    def _worker_wire(
+    def _worker_context(
         trace: Optional[_RequestTrace], batch_span_id: str
-    ) -> Optional[tuple]:
-        """The context tuple shipped to (or used inline by) a task call.
+    ) -> Optional[RequestContext]:
+        """The context shipped to (or used inline by) a task call.
 
         The worker's span parents onto the shared batch span, so a
         pool-routed search shows up in the timeline exactly where the
@@ -812,7 +825,7 @@ class EnvironmentService:
         if trace is None or trace.context is None or not enabled():
             return None
         parent = batch_span_id or trace.context.parent_span_id
-        return RequestContext(trace.context.request_id, parent).to_wire()
+        return RequestContext(trace.context.request_id, parent)
 
     def _ingest_worker_records(self, records: tuple) -> None:
         """Merge span dicts a pool worker shipped back into the store.
@@ -867,7 +880,7 @@ class EnvironmentService:
         """
         jobs = resolve_jobs(self.config.search_jobs)
         pool = shared_pool(jobs)
-        wire = self._worker_wire(trace, batch_span_id)
+        context = self._worker_context(trace, batch_span_id)
         args = (
             session.basis,
             request.searcher,
@@ -878,12 +891,12 @@ class EnvironmentService:
         )
         if pool is None:
             (best, score, evaluations), _ = traced_call(
-                wire, work.search_task, *args
+                context, work.search_task, *args
             )
         else:
             (best, score, evaluations), records = (
                 await asyncio.get_running_loop().run_in_executor(
-                    pool, traced_call, wire, work.search_task, *args
+                    pool, traced_call, context, work.search_task, *args
                 )
             )
             self._ingest_worker_records(records)
@@ -941,12 +954,12 @@ class EnvironmentService:
         )
         jobs = resolve_jobs(self.config.search_jobs)
         pool = shared_pool(jobs)
-        wire = self._worker_wire(trace, batch_span_id)
+        context = self._worker_context(trace, batch_span_id)
         if pool is None:
-            outcome, _ = traced_call(wire, work.joint_task, *args)
+            outcome, _ = traced_call(context, work.joint_task, *args)
         else:
             outcome, records = await asyncio.get_running_loop().run_in_executor(
-                pool, traced_call, wire, work.joint_task, *args
+                pool, traced_call, context, work.joint_task, *args
             )
             self._ingest_worker_records(records)
         strategy, configurations, scores, aggregate, measurements, distinct = outcome

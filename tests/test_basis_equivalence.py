@@ -173,7 +173,7 @@ def test_mimo_modes_agree():
 
 
 def test_used_mask_rename_and_validation():
-    """`used_mask` replaces `used_only_mask`; the alias still works."""
+    """`used_mask` flows through to the result and is validated."""
     setup = build_nlos_setup(0)
     testbed = setup.testbed
     mask = np.zeros(testbed.num_subcarriers, dtype=bool)
@@ -181,19 +181,7 @@ def test_used_mask_rename_and_validation():
     via_new = testbed.sweep(
         setup.tx_device, setup.rx_device, repetitions=1, used_mask=mask
     )
-    via_alias = testbed.sweep(
-        setup.tx_device, setup.rx_device, repetitions=1, used_only_mask=mask
-    )
     np.testing.assert_array_equal(via_new.used_mask, mask)
-    np.testing.assert_array_equal(via_alias.used_mask, mask)
-    with pytest.raises(ValueError, match="not both"):
-        testbed.sweep(
-            setup.tx_device,
-            setup.rx_device,
-            repetitions=1,
-            used_mask=mask,
-            used_only_mask=mask,
-        )
     with pytest.raises(ValueError, match="used_mask"):
         testbed.sweep(
             setup.tx_device,

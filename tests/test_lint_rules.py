@@ -313,9 +313,9 @@ def test_rpl006_flags_histogram_handle_without_unit_suffix():
 
 def test_rpl006_flags_inline_request_span_literal():
     source = (
-        "from repro.obs.context import request_span\n\n\n"
-        "def phase():\n"
-        "    with request_span('em.example_phase'):\n"
+        "from repro.obs.tracing import bind_context, global_tracer\n\n\n"
+        "def phase(ctx):\n"
+        "    with bind_context(ctx), global_tracer().span('em.example_phase'):\n"
         "        pass\n"
     )
     assert rules_of(run_lint_source(source, LIB_PATH)) == ["RPL006"]
@@ -323,25 +323,25 @@ def test_rpl006_flags_inline_request_span_literal():
 
 def test_rpl006_flags_emit_request_span_dynamic_name():
     source = (
-        "from repro.obs.context import emit_request_span\n\n\n"
+        "from repro.obs.tracing import global_tracer\n\n\n"
         "def phase(name, ctx):\n"
-        "    emit_request_span(name, ctx, 0.0, 1.0)\n"
+        "    global_tracer().emit_span(name, 0.0, 1.0, ctx)\n"
     )
     assert rules_of(run_lint_source(source, LIB_PATH)) == ["RPL006"]
 
 
 def test_rpl006_allows_handle_and_request_span_idiom():
     source = (
-        "from repro.obs.context import emit_request_span, request_span\n"
-        "from repro.obs.metrics import counter_handle, histogram_handle\n\n"
+        "from repro.obs.metrics import counter_handle, histogram_handle\n"
+        "from repro.obs.tracing import bind_context, global_tracer\n\n"
         "_HITS = counter_handle('em.example.hits')\n"
         "_WAIT_S = histogram_handle('em.example.wait_s')\n"
         "_SPAN_PHASE = 'em.example_phase'\n"
         "_SPAN_QUEUE = 'em.example_queue'\n\n\n"
         "def phase(ctx):\n"
-        "    with request_span(_SPAN_PHASE):\n"
+        "    with bind_context(ctx), global_tracer().span(_SPAN_PHASE):\n"
         "        _HITS.inc()\n"
-        "    emit_request_span(_SPAN_QUEUE, ctx, 0.0, 1.0)\n"
+        "    global_tracer().emit_span(_SPAN_QUEUE, 0.0, 1.0, ctx)\n"
     )
     assert run_lint_source(source, LIB_PATH) == []
 

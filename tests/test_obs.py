@@ -228,10 +228,9 @@ def test_span_nesting_records_parent_and_depth():
     records = tracer.records()
     assert [r.name for r in records] == ["inner", "outer"]
     inner, outer = records
-    assert inner.parent == "outer"
-    assert inner.depth == 1
-    assert outer.parent is None
-    assert outer.depth == 0
+    assert inner.parent_id == outer.span_id
+    assert outer.parent_id is None
+    assert inner.span_id != outer.span_id
     assert outer.duration_s >= inner.duration_s >= 0.0
 
 

@@ -1,23 +1,14 @@
-"""Unit tests for request-scoped tracing (repro.obs.context) and handles."""
+"""Unit tests for the span model's contexts and request tracing, and handles."""
 
 from __future__ import annotations
 
+import asyncio
 import os
+import pickle
 
 import pytest
 
-from repro.obs import reset_observability
-from repro.obs.context import (
-    RequestCapture,
-    RequestContext,
-    RequestTraceStore,
-    bind_context,
-    current_context,
-    emit_request_span,
-    new_request_id,
-    request_span,
-    stitch_timeline,
-)
+from repro.obs import reset_observability, tracing
 from repro.obs.metrics import (
     counter_handle,
     gauge_handle,
@@ -25,7 +16,19 @@ from repro.obs.metrics import (
     histogram_handle,
     set_enabled,
 )
-from repro.obs.tracing import SpanRecord, global_tracer, new_span_id
+from repro.obs.records import validate_record
+from repro.obs.tracing import (
+    RequestCapture,
+    RequestContext,
+    RequestTraceStore,
+    SpanRecord,
+    bind_context,
+    current_context,
+    global_tracer,
+    new_request_id,
+    new_span_id,
+    stitch_timeline,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -48,10 +51,11 @@ _SPAN_EXPLICIT = "test.explicit"
 
 
 def test_request_context_wire_roundtrip():
+    # The frozen context is its own wire form: pool payloads pickle it.
     context = RequestContext(request_id="r1", parent_span_id="abc-1")
-    assert RequestContext.from_wire(context.to_wire()) == context
+    assert pickle.loads(pickle.dumps(context)) == context
     bare = RequestContext(request_id="r2")
-    assert RequestContext.from_wire(bare.to_wire()) == bare
+    assert pickle.loads(pickle.dumps(bare)) == bare
 
 
 def test_new_request_id_is_unique_and_pid_tagged():
@@ -88,8 +92,8 @@ def test_bind_context_scoping():
 def test_request_span_parents_nested_children():
     context = RequestContext(request_id="r-span")
     with bind_context(context):
-        with request_span(_SPAN_OUTER):
-            with request_span(_SPAN_INNER):
+        with global_tracer().span(_SPAN_OUTER):
+            with global_tracer().span(_SPAN_INNER):
                 pass
     records = [
         r for r in global_tracer().records() if r.request_id == "r-span"
@@ -102,38 +106,79 @@ def test_request_span_parents_nested_children():
     assert outer.pid == os.getpid()
 
 
-def test_request_span_noop_without_context_or_when_disabled():
-    with request_span(_SPAN_OUTER):
-        pass
-    assert global_tracer().records() == ()
+def test_span_noop_when_disabled(monkeypatch):
     set_enabled(False)
+
+    def no_clock():
+        raise AssertionError("a disabled span read the clock")
+
+    monkeypatch.setattr(tracing.time, "perf_counter", no_clock)
     with bind_context(RequestContext(request_id="r-off")):
-        with request_span(_SPAN_OUTER):
-            pass
+        with global_tracer().span(_SPAN_OUTER):
+            assert current_context() == RequestContext(request_id="r-off")
     assert global_tracer().records() == ()
+
+
+def test_span_outside_request_nests_by_id():
+    with global_tracer().span(_SPAN_OUTER):
+        with global_tracer().span(_SPAN_INNER):
+            pass
+    inner, outer = global_tracer().records()
+    assert (inner.request_id, outer.request_id) == (None, None)
+    assert inner.parent_id == outer.span_id
+    assert outer.parent_id is None
+    assert current_context() is None
 
 
 def test_emit_request_span_explicit_ids():
     context = RequestContext(request_id="r-emit", parent_span_id="p-1")
-    sid = emit_request_span(_SPAN_EXPLICIT, context, 1.0, 2.5)
+    sid = global_tracer().emit_span(_SPAN_EXPLICIT, 1.0, 2.5, context)
     assert sid is not None
     (record,) = global_tracer().records()
     assert record.span_id == sid
     assert record.parent_id == "p-1"
+    assert record.request_id == "r-emit"
     assert record.duration_s == pytest.approx(1.5)
-    # Explicit span_id/parent override, e.g. shared batch-member ids.
+    # Explicit span_id, e.g. one batch span shared by every member.
     shared = new_span_id()
-    sid2 = emit_request_span(
-        _SPAN_EXPLICIT, context, 2.5, 3.0, span_id=shared, parent_span_id="x"
+    sid2 = global_tracer().emit_span(
+        _SPAN_EXPLICIT, 2.5, 3.0, RequestContext("r-emit", "x"), span_id=shared
     )
     assert sid2 == shared
     assert global_tracer().records()[-1].parent_id == "x"
+    # Without an explicit context the bound one applies.
+    with bind_context(context):
+        global_tracer().emit_span(_SPAN_EXPLICIT, 3.0, 3.5)
+    assert global_tracer().records()[-1].parent_id == "p-1"
 
 
 def test_emit_request_span_disabled_returns_none():
     set_enabled(False)
     context = RequestContext(request_id="r-emit-off")
-    assert emit_request_span(_SPAN_EXPLICIT, context, 0.0, 1.0) is None
+    assert global_tracer().emit_span(_SPAN_EXPLICIT, 0.0, 1.0, context) is None
+
+
+def test_interleaved_tasks_parent_on_their_own_spans():
+    # Two tasks nest spans across awaits, interleaving on one loop: each
+    # child must parent on its own task's outer span.
+    async def worker(request_id):
+        with bind_context(RequestContext(request_id=request_id)):
+            with global_tracer().span(_SPAN_OUTER):
+                await asyncio.sleep(0)
+                with global_tracer().span(_SPAN_INNER):
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0)
+
+    async def main():
+        await asyncio.gather(worker("r-a"), worker("r-b"))
+
+    asyncio.run(main())
+    records = global_tracer().records()
+    assert [r.name for r in records] == [_SPAN_INNER] * 2 + [_SPAN_OUTER] * 2
+    for request_id in ("r-a", "r-b"):
+        mine = {r.name: r for r in records if r.request_id == request_id}
+        assert mine[_SPAN_INNER].parent_id == mine[_SPAN_OUTER].span_id
+        assert mine[_SPAN_OUTER].parent_id is None
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +190,13 @@ def test_request_capture_filters_by_request_id():
     mine = RequestContext(request_id="r-mine")
     other = RequestContext(request_id="r-other")
     with RequestCapture("r-mine") as capture:
-        with bind_context(mine), request_span(_SPAN_OUTER):
+        with bind_context(mine), global_tracer().span(_SPAN_OUTER):
             pass
-        with bind_context(other), request_span(_SPAN_OUTER):
+        with bind_context(other), global_tracer().span(_SPAN_OUTER):
             pass
     assert [r.request_id for r in capture.records] == ["r-mine"]
     # Sink removed on exit: later spans are not captured.
-    with bind_context(mine), request_span(_SPAN_INNER):
+    with bind_context(mine), global_tracer().span(_SPAN_INNER):
         pass
     assert len(capture.records) == 1
 
@@ -164,8 +209,6 @@ def test_trace_store_collects_and_evicts_oldest():
                 name=_SPAN_OUTER,
                 start_s=0.0,
                 duration_s=1.0,
-                parent=None,
-                depth=0,
                 span_id=new_span_id(),
                 request_id=rid,
             )
@@ -179,9 +222,7 @@ def test_trace_store_collects_and_evicts_oldest():
 def test_trace_store_sink_ignores_classic_spans():
     store = RequestTraceStore()
     store.sink(
-        SpanRecord(
-            name=_SPAN_OUTER, start_s=0.0, duration_s=1.0, parent=None, depth=0
-        )
+        SpanRecord(name=_SPAN_OUTER, start_s=0.0, duration_s=1.0)
     )
     assert len(store) == 0
 
@@ -189,6 +230,54 @@ def test_trace_store_sink_ignores_classic_spans():
 def test_trace_store_rejects_bad_capacity():
     with pytest.raises(ValueError):
         RequestTraceStore(capacity=0)
+
+
+def test_trace_store_follows_replaced_tracer():
+    store = RequestTraceStore()
+    store.attach()
+    context = RequestContext(request_id="r-before")
+    global_tracer().emit_span(_SPAN_OUTER, 0.0, 1.0, context)
+    reset_observability(clear=True)
+    store.attach()
+    global_tracer().emit_span(_SPAN_OUTER, 0.0, 1.0, RequestContext("r-after"))
+    assert list(store.traces()) == ["r-before", "r-after"]
+    store.detach()
+    global_tracer().emit_span(_SPAN_OUTER, 0.0, 1.0, RequestContext("r-late"))
+    assert "r-late" not in store.traces()
+
+
+def test_old_v2_span_dict_with_parent_and_depth_loads():
+    # Records written before the merge carry name-stack parent/depth.
+    old = {
+        "name": "serve.queue",
+        "start_s": 0.5,
+        "duration_s": 0.25,
+        "parent": "serve.request",
+        "depth": 1,
+        "span_id": "a-2",
+        "parent_id": "a-1",
+        "request_id": "r-old",
+        "pid": 7,
+    }
+    record = SpanRecord.from_dict(old)
+    assert record == SpanRecord("serve.queue", 0.5, 0.25, "a-2", "a-1", "r-old", 7)
+    assert SpanRecord.from_dict(record.as_dict()) == record
+    v2 = {
+        "schema_version": 2,
+        "experiment": "x",
+        "created_at": "2026-01-01T00:00:00",
+        "wall_s": 0.5,
+        "jobs": None,
+        "workers": 0,
+        "config": {},
+        "seeds": {},
+        "observability_enabled": True,
+        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "spans": {},
+        "meta": {"python": "3.x"},
+        "request_traces": {"r-old": [old]},
+    }
+    assert validate_record(v2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +290,6 @@ def _record(name, span_id, parent_id=None, pid=1):
         name=name,
         start_s=0.0,
         duration_s=1.0,
-        parent=None,
-        depth=0,
         span_id=span_id,
         parent_id=parent_id,
         request_id="r-stitch",

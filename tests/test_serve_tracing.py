@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.obs import reset_observability
-from repro.obs.context import stitch_timeline
+from repro.obs.tracing import stitch_timeline
 from repro.obs.export import read_telemetry
 from repro.obs.metrics import global_registry, set_enabled
 from repro.obs.records import (
