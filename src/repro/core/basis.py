@@ -71,6 +71,14 @@ _EVALUATIONS = counter_handle("core.basis.evaluations")
 _CONFIGS_EVALUATED = counter_handle("core.basis.configurations_evaluated")
 _DELTA_EVALS = counter_handle("search.delta_evals")
 
+#: Elements :meth:`DeltaEvaluator.first_improvement` scores per kernel
+#: call.  Greedy descent accepts a move every few elements and each accept
+#: restarts the scan, so past a handful of elements a chunk mostly scores
+#: candidates that are thrown away.  On a 2-vCPU x86 host, chunks of 4 to
+#: 8 were fastest both for N = 256 single-link searches and for N = 64
+#: joint rounds over eight links; 16 and more lost on the joint rounds.
+_SCAN_CHUNK = 8
+
 #: Largest configuration space the vectorized exhaustive path will
 #: materialize as an (M^N, N) index table.  4^10 = 2^20 rows of N intp
 #: columns is ~80 MB of indices plus an (M^N, K) complex sum matrix —
@@ -790,9 +798,10 @@ class DeltaEvaluator:
         self._weights = weight_vector
         self._weight_total = float(weight_vector.sum())
         self._aggregate = aggregate
+        self._aggregate_rows = getattr(aggregate, "rows", None)
         self._objective = first.objective
+        self._objective_rows = getattr(first.objective, "rows", None)
         self._space = space
-        self._state_counts = np.array(space.state_counts, dtype=np.uintp)
         # Scoring only ever sees masked subcarriers, and every SNR op is
         # elementwise — so the mask is applied once to the tensors and the
         # ambient CFRs up front, not per probe.  Scores are elementwise
@@ -810,6 +819,15 @@ class DeltaEvaluator:
         self._ambient = np.stack(
             [evaluator.basis.ambient_cfr()[keep] for evaluator in evaluators]
         )
+        # Scan bookkeeping: which (element, state) rows are real states.
+        self._valid = np.arange(self._tensor.shape[1])[None, :] < np.array(
+            space.state_counts
+        )[:, None]
+        self._ragged = not bool(self._valid.all())
+        # Mapping the objective row by row costs as much per row as the
+        # scan it would save, so only a row form earns the chunked scan.
+        chunk = _SCAN_CHUNK if self._objective_rows is not None else 1
+        self._chunk_rows = np.arange(chunk)
         self._resync_interval = int(resync_interval)
         self._flips_since_resync = 0
         if initial is None:
@@ -883,6 +901,8 @@ class DeltaEvaluator:
     def _link_scores(self, sums: np.ndarray) -> np.ndarray:
         """Each link's objective for running sums of shape ``(..., L, K)``."""
         snr = self._snr_db_fast(self._ambient + sums)
+        if self._objective_rows is not None:
+            return self._objective_rows(snr)
         rows = snr.reshape(-1, snr.shape[-1])
         scores = np.fromiter(map(self._objective, rows), float, len(rows))
         return scores.reshape(snr.shape[:-1])
@@ -928,27 +948,6 @@ class DeltaEvaluator:
             self._count_flips(1)
         return self._rescore()
 
-    def _check_moves(self, elements: np.ndarray, states: np.ndarray) -> None:
-        """:meth:`flip`'s range checks, plus distinctness, for a batch.
-
-        Viewed as unsigned, a negative index wraps past every bound, so one
-        comparison per array checks both ends of its range.
-        """
-        num_elements = self._space.num_elements
-        if elements.view(np.uintp).max() >= num_elements:
-            outside = elements[(elements < 0) | (elements >= num_elements)]
-            raise IndexError(f"element {int(outside[0])} out of range")
-        counts = self._state_counts[elements]
-        invalid = states.view(np.uintp) >= counts
-        if invalid.any():
-            at = int(np.argmax(invalid))
-            raise ValueError(
-                f"state {int(states[at])} out of range for element "
-                f"{int(elements[at])} ({int(counts[at])} states)"
-            )
-        if np.bincount(elements, minlength=num_elements).max() > 1:
-            raise ValueError(f"elements must be distinct, got {elements.tolist()}")
-
     # -- mutation -------------------------------------------------------
     def flip(self, element: int, state: int) -> float:
         """Set one element's state on every link and return the new score."""
@@ -959,7 +958,7 @@ class DeltaEvaluator:
     def adopt(self, element: int, state: int) -> float:
         """Move one element to a state a scan has measured, and commit.
 
-        Greedy descent's accept step: :meth:`scores_for_element` already
+        Greedy descent's accept step: :meth:`first_improvement` already
         charged the sounding for this configuration, so no probe is
         counted.  The arithmetic is :meth:`flip`'s, so the committed score
         is exactly what a charged flip would return.
@@ -975,17 +974,13 @@ class DeltaEvaluator:
         """Flip several distinct elements at once (one scored probe).
 
         The RFocus perturbation primitive: one random multi-element
-        perturbation costs one sounding, not N.  Elements and states are
-        range-checked as :meth:`flip` checks them, and a repeated element
-        raises ``ValueError``: the batched gather reads every previous
-        state before any write, so a repeat would corrupt the running sum.
+        perturbation costs one sounding, not N.  Moves are checked by
+        :meth:`~repro.core.configuration.ConfigurationSpace.check_moves`:
+        the batched gather reads every previous state before any write, so
+        a repeated element would corrupt the running sum.
         """
-        element_idx = np.asarray(elements, dtype=np.intp)
-        state_idx = np.asarray(states, dtype=np.intp)
-        if element_idx.shape != state_idx.shape:
-            raise ValueError("elements and states must have matching shapes")
+        element_idx, state_idx = self._space.check_moves(elements, states)
         if element_idx.size:
-            self._check_moves(element_idx, state_idx)
             previous = self._indices[element_idx]
             changed = state_idx != previous
             if np.any(changed):
@@ -1049,6 +1044,85 @@ class DeltaEvaluator:
             if m != current:
                 self._record(float(scores[m]))
         return scores
+
+    def first_improvement(
+        self, start: int, threshold: float
+    ) -> Optional[tuple[int, int]]:
+        """Greedy descent's scan: the first element from ``start`` worth moving.
+
+        Scans elements ``start, start + 1, ...`` as repeated
+        :meth:`scores_for_element` calls would, and stops at the first
+        whose best state (first index on ties) differs from its current
+        state and scores above ``threshold``; returns ``(element, state)``,
+        or ``None`` past the last element.  Soundings are charged exactly
+        as those calls charge them, through the returned element only.
+
+        Between two accepted moves the running sum does not change, so
+        :data:`_SCAN_CHUNK` elements are scored per kernel call: their
+        candidate sums ``(sum - T[e, cur_e]) + T[e, m]`` form one
+        ``(C, M, L, K)`` broadcast — the same elementwise arithmetic as
+        :meth:`scores_for_element`, so the scores are bit-identical — and
+        the objective's ``rows`` form scores them in one call.  Rows past
+        an element's state count score ``-inf``.  An objective without a
+        ``rows`` form is mapped row by row, one element per call.
+        """
+        num_elements = self._space.num_elements
+        chunk = len(self._chunk_rows)
+        for lo in range(start, num_elements, chunk):
+            hi = min(lo + chunk, num_elements)
+            rows = self._chunk_rows[: hi - lo]
+            current = self._indices[lo:hi]
+            block = self._tensor[lo:hi]
+            links = self._link_scores((self._sum - block[rows, current])[:, None] + block)
+            scores = self._chunk_scores(links, lo, current, threshold)
+            winners = scores.argmax(axis=1)
+            improving = (winners != current) & (scores[rows, winners] > threshold)
+            found = bool(improving.any())
+            through = int(improving.argmax()) + 1 if found else hi - lo
+            charged = self._valid[lo : lo + through].copy()
+            charged[rows[:through], current[:through]] = False
+            self._record_many(scores[:through][charged])
+            if found:
+                return lo + through - 1, int(winners[through - 1])
+        return None
+
+    def _chunk_scores(
+        self, links: np.ndarray, lo: int, current: np.ndarray, threshold: float
+    ) -> np.ndarray:
+        """Aggregate ``(C, M, L)`` link scores of elements ``lo, lo + 1, ...``.
+
+        Returns ``(C, M)`` joint scores, ``-inf`` past each element's state
+        count.  An aggregate without a row form runs row by row, and only
+        up to the first element that improves on ``threshold``: the rows
+        after it stay ``-inf``, since the scan never charges them.
+        """
+        if self._aggregate_rows is not None:
+            scores = self._aggregate_rows(links, self._weights)
+        elif self._aggregate is None and links.shape[-1] == 1:
+            scores = links[..., 0]
+        else:
+            scores = np.full(links.shape[:2], -np.inf)
+            for i, element_links in enumerate(links):
+                count = self._space.state_counts[lo + i]
+                scores[i, :count] = [self._joint_score(row) for row in element_links[:count]]
+                best = scores[i].argmax()
+                if best != current[i] and scores[i, best] > threshold:
+                    break
+            return scores
+        if self._ragged:
+            scores = np.where(self._valid[lo : lo + len(scores)], scores, -np.inf)
+        return scores
+
+    def _record_many(self, values: np.ndarray) -> None:
+        """:meth:`_record` of each value in turn."""
+        if values.size == 0:
+            return
+        self.num_scores += values.size
+        _DELTA_EVALS.inc(values.size)
+        best = np.maximum.accumulate(values)
+        np.maximum(best, self._best, out=best)
+        self._best = float(best[-1])
+        self.trajectory.extend(best.tolist())
 
 
 #: The joint scorer's former name.  The benchmark's layer probes

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +96,48 @@ class ConfigurationSpace:
                 raise ValueError(
                     f"element {element} state {index} out of range (has {count} states)"
                 )
+
+    @cached_property
+    def _state_count_array(self) -> np.ndarray:
+        return np.array(self.state_counts, dtype=np.uintp)
+
+    def __getstate__(self) -> dict:
+        # The cached count array is rebuilt on demand, never shipped.
+        return {"state_counts": self.state_counts}
+
+    def check_moves(
+        self, elements: Sequence[int], states: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate a batch of single-element moves; return them as index arrays.
+
+        Every element must be in range (``IndexError`` otherwise), every
+        state in range for its element and the elements distinct
+        (``ValueError`` otherwise): a batch applies every move at once, so
+        a repeated element would leave which write wins to the scorer.
+        Viewed as unsigned, a negative index wraps past every bound, so one
+        comparison per array checks both ends of its range.
+        """
+        element_idx = np.asarray(elements, dtype=np.intp)
+        state_idx = np.asarray(states, dtype=np.intp)
+        if element_idx.shape != state_idx.shape:
+            raise ValueError("elements and states must have matching shapes")
+        if element_idx.size == 0:
+            return element_idx, state_idx
+        num_elements = self.num_elements
+        if element_idx.view(np.uintp).max() >= num_elements:
+            outside = element_idx[(element_idx < 0) | (element_idx >= num_elements)]
+            raise IndexError(f"element {int(outside[0])} out of range")
+        counts = self._state_count_array[element_idx]
+        invalid = state_idx.view(np.uintp) >= counts
+        if invalid.any():
+            at = int(np.argmax(invalid))
+            raise ValueError(
+                f"state {int(state_idx[at])} out of range for element "
+                f"{int(element_idx[at])} ({int(counts[at])} states)"
+            )
+        if np.bincount(element_idx, minlength=num_elements).max() > 1:
+            raise ValueError(f"elements must be distinct, got {element_idx.tolist()}")
+        return element_idx, state_idx
 
     def all_configurations(self) -> Iterator[ArrayConfiguration]:
         """Enumerate every configuration (lexicographic order).

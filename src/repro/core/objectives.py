@@ -13,6 +13,14 @@ channel:
 
 All objectives are "higher is better" callables so every search algorithm
 in :mod:`repro.core.search` can maximise them interchangeably.
+
+Objectives over per-subcarrier SNR may also offer ``rows(snr)``: the
+objective of every row along the last axis in one vectorised call, bit
+for bit what mapping ``__call__`` over the rows gives.  The delta scorer
+(:class:`repro.core.basis.DeltaEvaluator`) uses it when present and maps
+``__call__`` otherwise; an objective whose vectorised form would round
+differently must not define it.  Link aggregates may offer
+``rows(scores, weights)`` on the same terms.
 """
 
 from __future__ import annotations
@@ -47,12 +55,22 @@ __all__ = [
 ]
 
 
+def _contiguous(snr_db: np.ndarray) -> np.ndarray:
+    # A reduction over a C-contiguous last axis runs row by row, in the
+    # order the 1-D call uses; a strided view could be reduced in another.
+    return np.ascontiguousarray(snr_db, dtype=float)
+
+
 @dataclass(frozen=True)
 class MinSnrObjective:
     """Maximise the minimum per-subcarrier SNR (dB) — kill the deepest null."""
 
     def __call__(self, snr_db: np.ndarray) -> float:
         return float(np.min(np.asarray(snr_db, dtype=float)))
+
+    def rows(self, snr_db: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` of every row along the last axis, in one call."""
+        return np.min(_contiguous(snr_db), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,6 +79,10 @@ class MeanSnrObjective:
 
     def __call__(self, snr_db: np.ndarray) -> float:
         return float(np.mean(np.asarray(snr_db, dtype=float)))
+
+    def rows(self, snr_db: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` of every row along the last axis, in one call."""
+        return np.mean(_contiguous(snr_db), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +95,10 @@ class FlatnessObjective:
 
     def __call__(self, snr_db: np.ndarray) -> float:
         return float(-np.std(np.asarray(snr_db, dtype=float)))
+
+    def rows(self, snr_db: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` of every row along the last axis, in one call."""
+        return -np.std(_contiguous(snr_db), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -231,6 +257,10 @@ class WorstLinkAggregate:
 
     def __call__(self, scores: np.ndarray, weights: np.ndarray) -> float:
         return float(np.min(np.asarray(scores, dtype=float)))
+
+    def rows(self, scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` of every row of per-link scores, in one call."""
+        return np.min(np.asarray(scores, dtype=float), axis=-1)
 
 
 @dataclass(frozen=True)

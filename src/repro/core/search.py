@@ -76,6 +76,16 @@ class Scorer(Protocol):
     callback, so measurement-backed controllers run the same search
     bodies.  ``num_scores`` counts soundings and ``trajectory`` holds the
     best-so-far score after each one.
+
+    :meth:`first_improvement` is greedy descent's scan.  From element
+    ``start`` on, it scores every other state of each element in turn,
+    charging M-1 soundings per element in state order, and stops at the
+    first element whose best state (first index on ties) differs from its
+    current one and scores above ``threshold``.  It returns that
+    ``(element, state)`` — nothing past it is charged — or ``None`` once
+    the last element is scanned.  The delta scorer scores several
+    elements per kernel call; the callback scorer measures one element at
+    a time, so it never sounds past the element it returns.
     """
 
     num_scores: int
@@ -91,7 +101,9 @@ class Scorer(Protocol):
 
     def flip_many(self, elements: Sequence[int], states: Sequence[int]) -> float: ...
 
-    def scores_for_element(self, element: int) -> np.ndarray: ...
+    def first_improvement(
+        self, start: int, threshold: float
+    ) -> Optional[tuple[int, int]]: ...
 
     def adopt(self, element: int, state: int) -> float: ...
 
@@ -149,10 +161,13 @@ class CountingScore:
         return self.score
 
     def flip_many(self, elements: Sequence[int], states: Sequence[int]) -> float:
-        self._indices[np.asarray(elements, dtype=np.intp)] = states
+        element_idx, state_idx = self.space.check_moves(elements, states)
+        self._indices[element_idx] = state_idx
         return self.score
 
     def scores_for_element(self, element: int) -> np.ndarray:
+        if not 0 <= element < self.space.num_elements:
+            raise IndexError(f"element {element} out of range")
         held = self._indices[element]
         scores = []
         for state in range(self.space.state_counts[element]):
@@ -161,7 +176,18 @@ class CountingScore:
         self._indices[element] = held
         return np.array(scores)
 
+    def first_improvement(
+        self, start: int, threshold: float
+    ) -> Optional[tuple[int, int]]:
+        for element in range(start, self.space.num_elements):
+            scores = self.scores_for_element(element)
+            candidate = int(np.argmax(scores))
+            if candidate != self._indices[element] and scores[candidate] > threshold:
+                return element, candidate
+        return None
+
     def adopt(self, element: int, state: int) -> float:
+        self.space.check_moves([element], [state])
         self._indices[element] = state
         return self.commit()
 
@@ -330,13 +356,16 @@ class GreedyCoordinateDescent(Searcher):
     "focus the search" heuristic for a switch-per-element architecture.
     Random restarts escape poor local optima.
 
-    The body is written once, against the :class:`Scorer` protocol.
-    Against a channel basis (:meth:`Searcher.search_basis`) it runs on a
-    :class:`~repro.core.basis.DeltaEvaluator`: each element's M candidate
-    states are scored in one vectorized batch from the running element
+    The body is written once, against the :class:`Scorer` protocol: a
+    sweep is a loop of :meth:`~Scorer.first_improvement` scans, each
+    followed by an :meth:`~Scorer.adopt` of the move it found.  Against a
+    channel basis (:meth:`Searcher.search_basis`) it runs on a
+    :class:`~repro.core.basis.DeltaEvaluator`, which scores a chunk of
+    elements' candidate states per kernel call from the running element
     sum, so a full sweep costs O(N*M*K) total instead of O(N^2*M*K) —
     per-candidate cost independent of array size.  Through
-    :meth:`Searcher.search` it runs on measured whole configurations.
+    :meth:`Searcher.search` it runs on measured whole configurations,
+    one element at a time.  Both routes charge the same soundings.
     """
 
     max_sweeps: int = 4
@@ -356,14 +385,15 @@ class GreedyCoordinateDescent(Searcher):
     ) -> tuple[ArrayConfiguration, float]:
         """Coordinate descent over the scorer protocol.
 
-        Each element's M candidate states are scored in one
-        :meth:`~Scorer.scores_for_element` scan; the element moves to the
-        best strictly-improving state (first index wins ties), adopted
-        without a second sounding.  The first restart starts from the
-        scorer's working configuration (all-zeros as built by
-        :meth:`Searcher.search` and :meth:`Searcher.search_basis`), later
-        ones from random configurations.  One sweep costs N*(M-1)
-        soundings.
+        Elements are visited in order; each moves to its best state (first
+        index wins ties) when that state scores strictly above the
+        committed score, adopted without a second sounding.
+        :meth:`~Scorer.first_improvement` finds the next such element, so
+        a sweep is one scan per accepted move plus one to the end.  The
+        first restart starts from the scorer's working configuration
+        (all-zeros as built by :meth:`Searcher.search` and
+        :meth:`Searcher.search_basis`), later ones from random
+        configurations.  One sweep costs N*(M-1) soundings.
         """
         rng = np.random.default_rng(self.seed)
         best: Optional[ArrayConfiguration] = None
@@ -372,20 +402,16 @@ class GreedyCoordinateDescent(Searcher):
             if restart > 0:
                 score.set_configuration(space.random_configuration(rng))
             current_score = score.commit()
-            held = list(score.configuration.indices)
             for _ in range(self.max_sweeps):
                 _ROUNDS.inc()
-                improved = False
-                for element in range(space.num_elements):
-                    scores = score.scores_for_element(element)
-                    candidate = int(np.argmax(scores))
-                    if candidate != held[element] and scores[candidate] > current_score:
-                        current_score = score.adopt(element, candidate)
-                        held[element] = candidate
-                        _FLIPS.inc()
-                        improved = True
-                if not improved:
+                move = score.first_improvement(0, current_score)
+                if move is None:
                     break
+                while move is not None:
+                    element, state = move
+                    current_score = score.adopt(element, state)
+                    _FLIPS.inc()
+                    move = score.first_improvement(element + 1, current_score)
             if current_score > best_score:
                 best, best_score = score.configuration, current_score
         assert best is not None

@@ -20,6 +20,7 @@ from repro.core.objectives import (
     TargetCfrObjective,
     ThroughputObjective,
     WeightedObjective,
+    WorstLinkAggregate,
 )
 from repro.em.geometry import Point
 from repro.em.raytracer import RayTracer
@@ -169,3 +170,50 @@ class TestObjectives:
             WeightedObjective(objectives=(MinSnrObjective(),), weights=(1.0, 2.0))
         with pytest.raises(ValueError):
             WeightedObjective(objectives=(), weights=())
+
+
+#: Objectives with a vectorised ``rows`` form; the rest keep the per-row map.
+ROW_FORMS = [MinSnrObjective(), MeanSnrObjective(), FlatnessObjective()]
+
+
+def _mapped(objective, rows):
+    return np.fromiter(map(objective, rows), float, len(rows))
+
+
+class TestRowForms:
+    """``rows(snr)`` must equal mapping ``__call__`` over the rows, bit for bit."""
+
+    @pytest.mark.parametrize("objective", ROW_FORMS, ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize("shape", [(1, 52), (37, 52), (200, 7), (5, 300)])
+    def test_random_rows(self, objective, shape):
+        snr = np.random.default_rng(shape[0]).normal(20.0, 8.0, shape)
+        assert np.array_equal(objective.rows(snr), _mapped(objective, snr))
+
+    @pytest.mark.parametrize("objective", ROW_FORMS, ids=lambda o: type(o).__name__)
+    def test_non_contiguous_view(self, objective):
+        # A transposed, strided view: its rows are not contiguous, and a
+        # reduction over them in place rounds differently from the 1-D call.
+        parent = np.random.default_rng(5).normal(20.0, 8.0, (104, 111))
+        view = parent[::2, ::3].T
+        assert not view.flags.c_contiguous
+        assert np.array_equal(objective.rows(view), _mapped(objective, view))
+
+    @pytest.mark.parametrize("objective", ROW_FORMS, ids=lambda o: type(o).__name__)
+    def test_leading_axes(self, objective):
+        snr = np.random.default_rng(9).normal(20.0, 8.0, (3, 4, 8, 52))
+        expected = _mapped(objective, snr.reshape(-1, 52)).reshape(3, 4, 8)
+        assert np.array_equal(objective.rows(snr), expected)
+
+    def test_only_exact_objectives_have_rows(self):
+        for objective in (EffectiveSnrObjective(), ThroughputObjective(),
+                          SubbandContrastObjective()):
+            assert not hasattr(objective, "rows")
+
+    def test_worst_link_aggregate_rows(self):
+        scores = np.random.default_rng(2).normal(30.0, 5.0, (8, 4, 6))
+        weights = np.ones(6)
+        aggregate = WorstLinkAggregate()
+        expected = np.array(
+            [[aggregate(row, weights) for row in element] for element in scores]
+        )
+        assert np.array_equal(aggregate.rows(scores, weights), expected)
