@@ -101,10 +101,6 @@ class ConfigurationSpace:
     def _state_count_array(self) -> np.ndarray:
         return np.array(self.state_counts, dtype=np.uintp)
 
-    def __getstate__(self) -> dict:
-        # The cached count array is rebuilt on demand, never shipped.
-        return {"state_counts": self.state_counts}
-
     def check_moves(
         self, elements: Sequence[int], states: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ repeated element raises before anything is measured.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -73,9 +74,8 @@ def _delta_evals() -> int:
     return global_registry().snapshot().counters.get("search.delta_evals", 0)
 
 
-def reference_greedy(searcher, score):
+def reference_greedy(searcher, space, score):
     """The per-element greedy loop: one ``scores_for_element`` per element."""
-    space = score.space
     rng = np.random.default_rng(searcher.seed)
     best, best_score = None, -math.inf
     for restart in range(searcher.restarts):
@@ -99,20 +99,20 @@ def reference_greedy(searcher, score):
     return best, best_score
 
 
+def _outcome(run, scorer):
+    """``(best, best score, soundings, trajectory)`` and the delta_evals spent."""
+    before = _delta_evals()
+    best, best_score = run(scorer.space, scorer)
+    outcome = (best, best_score, scorer.num_scores, list(scorer.trajectory))
+    return outcome, _delta_evals() - before
+
+
 def _run_both(searcher, make_scorer):
-    """``(outcome, delta_evals)`` of the batched search, then the reference."""
-    runs = []
-    for search in (searcher.search_scorer, None):
-        scorer = make_scorer()
-        before = _delta_evals()
-        if search is None:
-            best, best_score = reference_greedy(searcher, scorer)
-        else:
-            result = search(scorer)
-            best, best_score = result.best, result.best_score
-        outcome = (best, best_score, scorer.num_scores, list(scorer.trajectory))
-        runs.append((outcome, _delta_evals() - before))
-    return runs
+    """The batched search's outcome, then the reference's, on fresh scorers."""
+    return (
+        _outcome(searcher.run, make_scorer()),
+        _outcome(partial(reference_greedy, searcher), make_scorer()),
+    )
 
 
 def _mixed_counts(num_elements, seed):
