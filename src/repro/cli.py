@@ -953,8 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--search-jobs",
         type=int,
         default=None,
-        help="worker processes for search requests "
-        "(default: inline; 0 = all CPUs)",
+        help="worker processes for sweep, search, joint and coverage "
+        "requests (default: inline; 0 = all CPUs)",
     )
     serve.add_argument(
         "--trace-sample",

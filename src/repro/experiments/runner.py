@@ -44,6 +44,7 @@ __all__ = [
     "derive_seeds",
     "run_parallel",
     "shared_pool",
+    "dispose_shared_pool",
     "warm_pool",
     "shutdown_shared_pools",
     "merged_telemetry",
@@ -136,9 +137,11 @@ def _shared_pool(num_workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _dispose_pool(num_workers: int) -> None:
-    """Drop (and shut down) a pool, e.g. after its workers died."""
-    pool = _SHARED_POOLS.pop(num_workers, None)
+def dispose_shared_pool(jobs: Optional[int]) -> None:
+    """Drop and shut down the shared pool for ``jobs``, e.g. after a
+    worker died (``BrokenProcessPool``); the next caller gets a fresh one.
+    """
+    pool = _SHARED_POOLS.pop(resolve_jobs(jobs), None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -146,7 +149,7 @@ def _dispose_pool(num_workers: int) -> None:
 def shutdown_shared_pools() -> None:
     """Shut down every persistent worker pool (registered via atexit)."""
     for num_workers in list(_SHARED_POOLS):
-        _dispose_pool(num_workers)
+        dispose_shared_pool(num_workers)
 
 
 atexit.register(shutdown_shared_pools)
@@ -161,7 +164,8 @@ def shared_pool(jobs: Optional[int]) -> Optional[ProcessPoolExecutor]:
     going through :func:`run_parallel`.  Serial requests (resolved worker
     count 1) return ``None`` so callers can run inline.  The pool is the
     same one :func:`run_parallel` uses: created once, reused across
-    callers, shut down at interpreter exit.
+    callers, replaced after :func:`dispose_shared_pool`, shut down at
+    interpreter exit.
     """
     num_workers = resolve_jobs(jobs)
     if num_workers <= 1:
@@ -295,7 +299,7 @@ def run_parallel(
     except BrokenProcessPool:
         # A worker died (OOM, signal).  Replace the pool once and retry —
         # task functions are pure, so a retry is safe.
-        _dispose_pool(num_workers)
+        dispose_shared_pool(num_workers)
         pool = _shared_pool(num_workers)
         mapped = list(pool.map(mapped_fn, task_list, chunksize=chunksize))
     if not collect_obs:

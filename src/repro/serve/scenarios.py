@@ -73,9 +73,10 @@ class ScenarioSession:
     """One hot scenario: built scene, traced basis, radio parameters.
 
     Immutable once built; concurrent readers (interleaved request
-    handlers, worker processes the basis is shipped to) share it without
-    coordination.  All scoring helpers are pure functions of their
-    arguments plus this frozen state.
+    handlers) share it without coordination.  It never crosses a process
+    boundary: a pool worker builds its own session from the spec, which
+    gives the same bits.  All scoring helpers are pure functions of
+    their arguments plus this frozen state.
     """
 
     spec: ScenarioSpec

@@ -20,9 +20,13 @@ perf story:
    (:func:`~repro.serve.scenarios.build_session`), later ones reuse it.
    Sessions live in a bounded LRU; geometry traces additionally sit in
    the process-wide :func:`~repro.em.trace_cache.global_trace_cache`, so
-   even a rebuilt session skips re-tracing.  CPU-bound search requests
-   are routed onto the persistent shared process pools of
-   :mod:`repro.experiments.runner` when ``search_jobs`` asks for them.
+   even a rebuilt session skips re-tracing.  Every other request
+   (sweep, search, joint, coverage) takes one offload path through
+   :func:`compute`: inline on the service's session, or, when
+   ``search_jobs`` asks for a pool, on a worker of the persistent shared
+   pools of :mod:`repro.experiments.runner` that keeps its own sessions,
+   so only the request crosses the pickle boundary.  The offloaded
+   members of one flush run concurrently.
 3. **Backpressure** — at most ``max_pending`` requests may be queued
    (admitted but not yet flushed); beyond that :meth:`submit` raises
    :class:`ServiceOverloaded` immediately instead of letting latency
@@ -37,13 +41,15 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..em.geometry import Point
-from ..experiments.runner import resolve_jobs, shared_pool, traced_call
+from ..experiments.runner import dispose_shared_pool, shared_pool, traced_call
 from ..obs.export import TelemetryStreamer
 from ..obs.metrics import (
     counter_handle,
@@ -86,6 +92,7 @@ __all__ = [
     "ServiceOverloaded",
     "SweepRequest",
     "SweepResult",
+    "compute",
 ]
 
 # Stale-proof handles, not raw instruments: a raw reference captured at
@@ -163,10 +170,12 @@ class ServiceConfig:
     session_capacity:
         How many scenario sessions stay hot in the LRU.
     search_jobs:
-        Worker-pool sizing for search requests, as in
+        Worker-pool sizing for every non-coalesced request (sweep,
+        search, joint, coverage), as in
         :func:`repro.experiments.runner.resolve_jobs` (``None``/``1`` =
         inline in the event loop process, ``<= 0`` = all CPUs).  Pools
-        are the persistent shared executors — no per-request spin-up.
+        are the persistent shared executors — no per-request spin-up —
+        and each worker keeps up to :data:`WORKER_SESSIONS` sessions.
     trace_sample:
         Deterministic request-trace sampling: every ``trace_sample``-th
         admitted request gets a full stitched span timeline (``1`` =
@@ -381,6 +390,118 @@ _LATENCY_BY_TYPE = {
     JointOptimizeRequest: _JOINT_LATENCY,
     CoverageRequest: _COVERAGE_LATENCY,
 }
+
+#: Scenario sessions one pool worker keeps hot, least recently used
+#: dropped first.
+WORKER_SESSIONS = 8
+
+
+@lru_cache(maxsize=WORKER_SESSIONS)
+def _worker_session(spec: ScenarioSpec) -> ScenarioSession:
+    """A pool worker's own session for ``spec``, built on first use.
+
+    Built bound to no request, so a cold build adds no span to the
+    timeline of the request that happened to trigger it.
+    """
+    with bind_context(None):
+        return build_session(spec)
+
+
+def compute(request: Request, session: Optional[ScenarioSession] = None):
+    """Serve one sweep, search, joint or coverage request.
+
+    The service calls this inline with its own session, or ships it with
+    the request alone to a pool worker, where ``session`` is ``None`` and
+    the worker's session cache supplies it.  ``build_session`` is
+    deterministic and everything below is a pure function of the request
+    and the session, so both routes give bit-identical results.  Each
+    task builds its own evaluator over the immutable session basis, so
+    requests on one session never interfere.
+    """
+    if session is None:
+        session = _worker_session(request.scenario)
+    if isinstance(request, SweepRequest):
+        if request.repetitions <= 0:
+            raise ValueError("repetitions must be positive")
+        rng = None if request.seed is None else np.random.default_rng(request.seed)
+        snr = sweep_basis_snr(
+            session.basis,
+            request.repetitions,
+            rng,
+            tx_power_dbm=session.tx_power_dbm,
+            noise_figure_db=session.noise_figure_db,
+            drift_phase_rad=request.drift_phase_rad,
+            drift_amplitude=request.drift_amplitude,
+        )
+        scores = snr[:, :, session.mask].mean(axis=(0, 2))
+        return SweepResult(
+            scores_db=tuple(float(x) for x in scores),
+            best_index=int(np.argmax(scores)),
+        )
+    if isinstance(request, SearchRequest):
+        return SearchResult(
+            *work.search_task(
+                session.basis,
+                request.searcher,
+                request.seed,
+                session.tx_power_dbm,
+                session.noise_figure_db,
+                session.mask,
+            )
+        )
+    if isinstance(request, JointOptimizeRequest):
+        # Per-link bases come from the batched ``bases_for_points`` path:
+        # the session's testbed keeps the scene's trace frame, so each
+        # request traces only its users' receiver-facing legs.
+        if not request.links:
+            raise ValueError("joint request carries no links")
+        names = tuple(link.name for link in request.links)
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate link names in joint request: {names}")
+        setup = session.setup
+        rx0 = setup.rx_device.position
+        points = [
+            Point(rx0.x + link.dx_m, rx0.y + link.dy_m) for link in request.links
+        ]
+        bases = setup.testbed.bases_for_points(
+            setup.tx_device, points, setup.rx_device.chains[0].antenna
+        )
+        return JointOptimizeResult(
+            *work.joint_task(
+                tuple(bases),
+                names,
+                tuple(link.weight for link in request.links),
+                request.strategy,
+                request.searcher,
+                request.seed,
+                request.aggregate,
+                request.tolerance,
+                session.tx_power_dbm,
+                session.noise_figure_db,
+                session.mask,
+            )
+        )
+    if isinstance(request, CoverageRequest):
+        if request.rows <= 0 or request.cols <= 0:
+            raise ValueError("coverage grid must have positive rows and cols")
+        configuration = request.configuration
+        if configuration is None:
+            configuration = tuple([0] * session.basis.space.num_elements)
+        session.validate_configuration(configuration)
+        scores = work.coverage_task(
+            session,
+            request.rows,
+            request.cols,
+            request.x_span_m,
+            request.y_span_m,
+            configuration,
+        )
+        return CoverageResult(
+            scores_db=tuple(float(x) for x in scores),
+            rows=request.rows,
+            cols=request.cols,
+        )
+    raise TypeError(f"unknown request type {type(request).__name__}")
 
 
 class _RequestTrace:
@@ -692,54 +813,60 @@ class EnvironmentService:
     # -- execution ------------------------------------------------------
 
     async def _execute_batch(self, spec: ScenarioSpec, batch: list) -> None:
-        traced = [
-            trace
+        traced = any(
+            trace is not None and trace.context is not None
             for _, _, trace in batch
-            if trace is not None and trace.context is not None
-        ]
+        )
         batch_span_id = new_span_id() if traced else ""
         t_batch = monotonic_s() if traced else 0.0
-        try:
-            # The task copied the context of whichever submit created it,
-            # but the flush serves every member: bound to no request, its
-            # own spans (serve.batch, serve.session_build, a joint's
-            # trace) join no request's timeline.  Members get
-            # serve.batch_member records below, and worker spans carry
-            # their request's context explicitly.
-            with bind_context(None), global_tracer().span(_SPAN_BATCH):
-                try:
-                    session = self._session(spec)
-                except Exception as error:  # scene build failed: fail the batch
-                    for _, future, _ in batch:
-                        self._reject_future(future, error)
-                    return
-                self._run_coalesced(session, batch)
-                for request, future, trace in batch:
-                    if future.done() or isinstance(request, _COALESCED):
-                        continue
-                    try:
-                        result = await self._run_single(
-                            session, request, trace, batch_span_id
-                        )
-                    except Exception as error:
-                        self._reject_future(future, error)
-                    else:
-                        if not future.cancelled():
-                            future.set_result(result)
-        finally:
-            if traced:
-                # One shared batch span id, one record per member request:
-                # each request's timeline shows the same physical flush,
-                # and worker spans hang off it via ``batch_span_id``.
-                t_end = monotonic_s()
-                for trace in traced:
-                    global_tracer().emit_span(
-                        _SPAN_BATCH_MEMBER,
-                        t_batch,
-                        t_end,
-                        trace.context,
-                        span_id=batch_span_id,
+        # The task copied the context of whichever submit created it, but
+        # the flush serves every member: bound to no request, its own
+        # spans (serve.batch, serve.session_build) join no request's
+        # timeline.  Members get serve.batch_member records as they are
+        # served, and task spans carry their request's context explicitly.
+        with bind_context(None), global_tracer().span(_SPAN_BATCH):
+            try:
+                session = self._session(spec)
+            except Exception as error:  # scene build failed: fail the batch
+                for _, future, trace in batch:
+                    self._reject_future(future, error)
+                    self._end_member(trace, batch_span_id, t_batch)
+                return
+            self._run_coalesced(session, batch)
+            for request, _, trace in batch:
+                if isinstance(request, _COALESCED):
+                    self._end_member(trace, batch_span_id, t_batch)
+            # Every other member starts at once: one slow search holds up
+            # no other member of its flush.
+            await asyncio.gather(
+                *(
+                    self._serve(
+                        session, request, future, trace, batch_span_id, t_batch
                     )
+                    for request, future, trace in batch
+                    if not future.done() and not isinstance(request, _COALESCED)
+                )
+            )
+
+    @staticmethod
+    def _end_member(
+        trace: Optional[_RequestTrace], batch_span_id: str, t_batch: float
+    ) -> None:
+        """Record a traced member's ``serve.batch_member`` span.
+
+        One shared batch span id, one record per member request, ending
+        when that member is served: each request's timeline shows the
+        same physical flush, and task spans hang off it via
+        ``batch_span_id``.
+        """
+        if trace is not None and trace.context is not None:
+            global_tracer().emit_span(
+                _SPAN_BATCH_MEMBER,
+                t_batch,
+                monotonic_s(),
+                trace.context,
+                span_id=batch_span_id,
+            )
 
     @staticmethod
     def _reject_future(future: asyncio.Future, error: Exception) -> None:
@@ -795,206 +922,53 @@ class EnvironmentService:
                     )
                 )
 
-    async def _run_single(
+    async def _serve(
         self,
         session: ScenarioSession,
         request: Request,
-        trace: Optional[_RequestTrace] = None,
-        batch_span_id: str = "",
-    ):
-        if isinstance(request, SweepRequest):
-            return self._run_sweep(session, request)
-        if isinstance(request, SearchRequest):
-            return await self._run_search(session, request, trace, batch_span_id)
-        if isinstance(request, CoverageRequest):
-            return self._run_coverage(session, request)
-        if isinstance(request, JointOptimizeRequest):
-            return await self._run_joint(session, request, trace, batch_span_id)
-        raise TypeError(f"unknown request type {type(request).__name__}")
+        future: asyncio.Future,
+        trace: Optional[_RequestTrace],
+        batch_span_id: str,
+        t_batch: float,
+    ) -> None:
+        """Serve one non-coalesced request and settle its future.
 
-    @staticmethod
-    def _worker_context(
-        trace: Optional[_RequestTrace], batch_span_id: str
-    ) -> Optional[RequestContext]:
-        """The context shipped to (or used inline by) a task call.
-
-        The worker's span parents onto the shared batch span, so a
-        pool-routed search shows up in the timeline exactly where the
-        flush that dispatched it does.
+        The one route for sweeps, searches, joints and coverage grids:
+        :func:`compute` runs inline on this service's session, or, when
+        ``search_jobs`` asks for a pool, on a worker that resolves the
+        request's scenario through its own session cache, so only the
+        request crosses the pickle boundary.  Inline ``traced_call`` runs
+        emit straight into this process's tracer, whose sink feeds the
+        store; a worker's spans come back with the result and are merged
+        here.  A worker death fails this request and disposes the pool,
+        so the next request gets a fresh one.
         """
-        if trace is None or trace.context is None or not enabled():
-            return None
-        parent = batch_span_id or trace.context.parent_span_id
-        return RequestContext(trace.context.request_id, parent)
-
-    def _ingest_worker_records(self, records: tuple) -> None:
-        """Merge span dicts a pool worker shipped back into the store.
-
-        Only pool results are ingested — inline ``traced_call`` runs emit
-        straight into this process's tracer, whose sink already feeds the
-        store; adding the returned copies too would duplicate them.
-        """
-        self.trace_store.extend(
-            SpanRecord.from_dict(record) for record in records
-        )
-
-    def _run_sweep(
-        self, session: ScenarioSession, request: SweepRequest
-    ) -> SweepResult:
-        if request.repetitions <= 0:
-            raise ValueError("repetitions must be positive")
-        rng = (
-            None
-            if request.seed is None
-            else np.random.default_rng(request.seed)
-        )
-        snr = sweep_basis_snr(
-            session.basis,
-            request.repetitions,
-            rng,
-            tx_power_dbm=session.tx_power_dbm,
-            noise_figure_db=session.noise_figure_db,
-            drift_phase_rad=request.drift_phase_rad,
-            drift_amplitude=request.drift_amplitude,
-        )
-        scores = snr[:, :, session.mask].mean(axis=(0, 2))
-        return SweepResult(
-            scores_db=tuple(float(x) for x in scores),
-            best_index=int(np.argmax(scores)),
-        )
-
-    async def _run_search(
-        self,
-        session: ScenarioSession,
-        request: SearchRequest,
-        trace: Optional[_RequestTrace] = None,
-        batch_span_id: str = "",
-    ) -> SearchResult:
-        """Run a searcher, on the shared process pool when configured.
-
-        The searcher is seeded from the request, so the answer is the
-        same whether it runs inline or on a worker; the pool only buys
-        the event loop its latency back.  ``search_basis`` builds a fresh
-        evaluator per call against the immutable shared basis, so
-        concurrent searches on one session never interfere.
-        """
-        jobs = resolve_jobs(self.config.search_jobs)
+        context = None
+        if trace is not None and trace.context is not None and enabled():
+            # The task span parents onto the shared batch span, so the
+            # request's work shows up where the flush that dispatched it does.
+            context = RequestContext(trace.context.request_id, batch_span_id)
+        jobs = self.config.search_jobs
         pool = shared_pool(jobs)
-        context = self._worker_context(trace, batch_span_id)
-        args = (
-            session.basis,
-            request.searcher,
-            request.seed,
-            session.tx_power_dbm,
-            session.noise_figure_db,
-            session.mask,
-        )
-        if pool is None:
-            (best, score, evaluations), _ = traced_call(
-                context, work.search_task, *args
-            )
-        else:
-            (best, score, evaluations), records = (
-                await asyncio.get_running_loop().run_in_executor(
-                    pool, traced_call, context, work.search_task, *args
+        try:
+            if pool is None:
+                result, _ = traced_call(context, compute, request, session)
+            else:
+                result, records = await asyncio.get_running_loop().run_in_executor(
+                    pool, traced_call, context, compute, request
                 )
-            )
-            self._ingest_worker_records(records)
-        return SearchResult(
-            best_configuration=best,
-            best_score_db=score,
-            num_evaluations=evaluations,
-        )
-
-    async def _run_joint(
-        self,
-        session: ScenarioSession,
-        request: JointOptimizeRequest,
-        trace: Optional[_RequestTrace] = None,
-        batch_span_id: str = "",
-    ) -> JointOptimizeResult:
-        """Run one multi-link strategy, on the shared pool when configured.
-
-        Per-link bases are traced in the event-loop process through the
-        batched ``bases_for_points`` path, then shipped with the strategy
-        parameters to the picklable ``work.joint_task``.  The session's
-        testbed keeps the scene's trace frame, so each request traces only
-        its users' receiver-facing legs; the ambient batch is cached by
-        point values, but the element geometry is traced on every call.  The
-        task is a pure function of its arguments, so responses are
-        bit-identical to a direct ``optimize_joint`` call over the same
-        bases regardless of batch window or pool routing.
-        """
-        if not request.links:
-            raise ValueError("joint request carries no links")
-        names = tuple(link.name for link in request.links)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate link names in joint request: {names}")
-        setup = session.setup
-        rx0 = setup.rx_device.position
-        points = [
-            Point(rx0.x + link.dx_m, rx0.y + link.dy_m)
-            for link in request.links
-        ]
-        bases = setup.testbed.bases_for_points(
-            setup.tx_device, points, setup.rx_device.chains[0].antenna
-        )
-        args = (
-            tuple(bases),
-            names,
-            tuple(link.weight for link in request.links),
-            request.strategy,
-            request.searcher,
-            request.seed,
-            request.aggregate,
-            request.tolerance,
-            session.tx_power_dbm,
-            session.noise_figure_db,
-            session.mask,
-        )
-        jobs = resolve_jobs(self.config.search_jobs)
-        pool = shared_pool(jobs)
-        context = self._worker_context(trace, batch_span_id)
-        if pool is None:
-            outcome, _ = traced_call(context, work.joint_task, *args)
+                self.trace_store.extend(
+                    SpanRecord.from_dict(record) for record in records
+                )
+        except Exception as error:
+            if isinstance(error, BrokenProcessPool):
+                dispose_shared_pool(jobs)
+            self._reject_future(future, error)
         else:
-            outcome, records = await asyncio.get_running_loop().run_in_executor(
-                pool, traced_call, context, work.joint_task, *args
-            )
-            self._ingest_worker_records(records)
-        strategy, configurations, scores, aggregate, measurements, distinct = outcome
-        return JointOptimizeResult(
-            strategy=strategy,
-            configurations=configurations,
-            scores_db=scores,
-            aggregate_score_db=aggregate,
-            num_measurements=measurements,
-            num_distinct_configurations=distinct,
-        )
-
-    def _run_coverage(
-        self, session: ScenarioSession, request: CoverageRequest
-    ) -> CoverageResult:
-        if request.rows <= 0 or request.cols <= 0:
-            raise ValueError("coverage grid must have positive rows and cols")
-        configuration = request.configuration
-        if configuration is None:
-            configuration = tuple([0] * session.basis.space.num_elements)
-        session.validate_configuration(configuration)
-        scores = work.coverage_task(
-            session,
-            request.rows,
-            request.cols,
-            request.x_span_m,
-            request.y_span_m,
-            configuration,
-        )
-        return CoverageResult(
-            scores_db=tuple(float(x) for x in scores),
-            rows=request.rows,
-            cols=request.cols,
-        )
-
+            if not future.cancelled():
+                future.set_result(result)
+        finally:
+            self._end_member(trace, batch_span_id, t_batch)
 
 class ServiceClient:
     """Typed async facade over :meth:`EnvironmentService.submit`.

@@ -1,10 +1,10 @@
-"""Module-level work functions behind the service's request handlers.
+"""Module-level work functions behind the service's offloaded requests.
 
-These are plain picklable functions of picklable values, so the service
-can run them inline (serial configuration) or ship them to the
-persistent shared process pools of :mod:`repro.experiments.runner`
-unchanged — mirroring how the parallel experiment runner ships
-parent-traced bases to workers.  Either route computes the identical
+:func:`repro.serve.service.compute` calls these with a session's basis,
+radio parameters and mask, in whichever process serves the request:
+the event-loop process when the service runs inline, or a pool worker,
+which builds its own session from the request's scenario spec.  The
+benchmarks call them directly.  Either route computes the identical
 answer: everything is a pure function of the arguments.
 """
 

@@ -2,9 +2,10 @@
 
 Under the one span model a span joins the request bound in the context
 it runs in.  A batch flush serves several requests at once, so it runs
-bound to none: its own spans (the batch, a cold session's build, a
-joint's geometry trace) stay out of every timeline, and each member
-request sees only its own spans.
+bound to none: its own spans (the batch, a cold session's build) stay
+out of every timeline.  A joint's geometry trace is the joint's own
+work, so it joins that request's timeline under its ``task.worker``
+span and no other.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ def test_batch_members_see_only_their_own_spans():
         names = [record.name for record in records]
         assert all(record.request_id == request_id for record in records)
         assert not _FLUSH_SPANS & set(names), names
-        assert not [name for name in names if name.startswith("testbed.")]
         roots = [record for record in records if record.parent_id is None]
         assert [record.name for record in roots] == ["serve.request"]
         members |= {r.span_id for r in records if r.name == "serve.batch_member"}
@@ -74,10 +74,16 @@ def test_batch_members_see_only_their_own_spans():
     flush = [r for r in global_tracer().records() if r.name in _FLUSH_SPANS]
     assert {r.name for r in flush} == _FLUSH_SPANS
     assert all(r.request_id is None for r in flush)
-    geometry = [
+    # The joint's geometry trace ran inside its own task.
+    assert not [r for r in traces["req-eval"] if r.name.startswith("testbed.")]
+    recorded = [
         r for r in global_tracer().records() if r.name == "testbed.bases_for_points"
     ]
-    assert geometry and all(r.request_id is None for r in geometry)
+    assert recorded and all(r.request_id == "req-joint" for r in recorded)
+    joint = {r.span_id: r for r in traces["req-joint"]}
+    geometry = [r for r in joint.values() if r.name == "testbed.bases_for_points"]
+    assert len(geometry) == 1
+    assert joint[geometry[0].parent_id].name == "task.worker"
 
 
 def test_request_traces_survive_observability_reset():

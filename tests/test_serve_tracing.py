@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro.experiments.runner import dispose_shared_pool
 from repro.obs import reset_observability
 from repro.obs.tracing import stitch_timeline
 from repro.obs.export import read_telemetry
@@ -27,11 +28,16 @@ from repro.obs.records import (
 )
 from repro.obs.slo import SloPolicy
 from repro.serve import (
+    CoverageRequest,
     EnvironmentService,
     EvaluateRequest,
+    JointLinkSpec,
+    JointOptimizeRequest,
     ScenarioSpec,
+    SearchRequest,
     ServiceClient,
     ServiceConfig,
+    SweepRequest,
     mixed_requests,
     run_closed_loop,
 )
@@ -139,19 +145,42 @@ def test_batch_members_share_one_batch_span_id():
 
 
 def test_trace_structure_identical_across_jobs():
+    links = (JointLinkSpec(name="a"), JointLinkSpec(name="b", dx_m=0.4))
+    requests = {
+        "req-sweep": SweepRequest(NLOS, repetitions=2, seed=9, drift_phase_rad=0.08),
+        "req-search": SearchRequest(NLOS, "rfocus", seed=3),
+        "req-joint": JointOptimizeRequest(NLOS, links, searcher="greedy"),
+        "req-coverage": CoverageRequest(NLOS, rows=2, cols=3),
+    }
+
     async def structure(jobs):
         async with EnvironmentService(
             ServiceConfig(search_jobs=jobs)
         ) as service:
-            client = ServiceClient(service)
-            with ServiceClient.bind("req-j"):
-                result = await client.search(NLOS, "rfocus", seed=3)
-            return result, _names(service.request_traces()["req-j"])
 
-    inline_result, inline_names = _run(structure(1))
-    pooled_result, pooled_names = _run(structure(2))
-    assert inline_result == pooled_result  # bit-identical payloads
-    assert inline_names == pooled_names  # same span skeleton
+            async def one(request_id, request):
+                with ServiceClient.bind(request_id):
+                    return await service.submit(request)
+
+            results = await asyncio.gather(
+                *(one(request_id, r) for request_id, r in requests.items())
+            )
+            traces = service.request_traces()
+        return results, {request_id: traces[request_id] for request_id in requests}
+
+    inline_results, inline_traces = _run(structure(1))
+    # Fresh workers hold no session: the pooled requests build them cold.
+    dispose_shared_pool(2)
+    pooled_results, pooled_traces = _run(structure(2))
+    assert pooled_results == inline_results  # bit-identical payloads
+    for request_id in requests:
+        inline_names = _names(inline_traces[request_id])
+        pooled_names = _names(pooled_traces[request_id])
+        assert pooled_names == inline_names, request_id  # same span skeleton
+        # The worker's cold session build joined no request.
+        assert "testbed.basis_trace" not in pooled_names
+        workers = [r for r in pooled_traces[request_id] if r.name == "task.worker"]
+        assert len(workers) == 1 and workers[0].pid != os.getpid()
 
 
 def test_responses_bit_identical_with_obs_off():
