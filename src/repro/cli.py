@@ -948,13 +948,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="backpressure threshold (queued requests before rejection)",
     )
-    serve.add_argument("--session-capacity", type=int, default=8)
+    serve.add_argument(
+        "--session-capacity",
+        type=int,
+        default=8,
+        help="scenario sessions the service keeps hot (default: "
+        "%(default)s); pool workers keep at most 8 each",
+    )
     serve.add_argument(
         "--search-jobs",
         type=int,
         default=None,
-        help="worker processes for sweep, search, joint and coverage "
-        "requests (default: inline; 0 = all CPUs)",
+        help="worker processes for search, joint and coverage requests; "
+        "sweeps always run inline (default: inline; 0 = all CPUs)",
     )
     serve.add_argument(
         "--trace-sample",

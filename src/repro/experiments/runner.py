@@ -137,13 +137,21 @@ def _shared_pool(num_workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def dispose_shared_pool(jobs: Optional[int]) -> None:
+def dispose_shared_pool(
+    jobs: Optional[int], pool: Optional[ProcessPoolExecutor] = None
+) -> None:
     """Drop and shut down the shared pool for ``jobs``, e.g. after a
     worker died (``BrokenProcessPool``); the next caller gets a fresh one.
+
+    Given ``pool``, the one that failed, the cached pool is dropped only
+    if it still is that pool: a failure reported late, after a fresh pool
+    replaced the broken one, leaves the fresh pool running.
     """
-    pool = _SHARED_POOLS.pop(resolve_jobs(jobs), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+    num_workers = resolve_jobs(jobs)
+    cached = _SHARED_POOLS.get(num_workers)
+    if cached is not None and pool in (None, cached):
+        del _SHARED_POOLS[num_workers]
+        cached.shutdown(wait=False, cancel_futures=True)
 
 
 def shutdown_shared_pools() -> None:
@@ -299,7 +307,7 @@ def run_parallel(
     except BrokenProcessPool:
         # A worker died (OOM, signal).  Replace the pool once and retry —
         # task functions are pure, so a retry is safe.
-        dispose_shared_pool(num_workers)
+        dispose_shared_pool(num_workers, pool)
         pool = _shared_pool(num_workers)
         mapped = list(pool.map(mapped_fn, task_list, chunksize=chunksize))
     if not collect_obs:

@@ -21,12 +21,13 @@ perf story:
    Sessions live in a bounded LRU; geometry traces additionally sit in
    the process-wide :func:`~repro.em.trace_cache.global_trace_cache`, so
    even a rebuilt session skips re-tracing.  Every other request
-   (sweep, search, joint, coverage) takes one offload path through
+   (sweep, search, joint, coverage) takes one path through
    :func:`compute`: inline on the service's session, or, when
    ``search_jobs`` asks for a pool, on a worker of the persistent shared
    pools of :mod:`repro.experiments.runner` that keeps its own sessions,
-   so only the request crosses the pickle boundary.  The offloaded
-   members of one flush run concurrently.
+   so only the request crosses the pickle boundary.  Sweeps, small
+   enough to cost less than the round trip, always run inline.  The
+   non-coalesced members of one flush run concurrently.
 3. **Backpressure** — at most ``max_pending`` requests may be queued
    (admitted but not yet flushed); beyond that :meth:`submit` raises
    :class:`ServiceOverloaded` immediately instead of letting latency
@@ -44,7 +45,7 @@ from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -111,28 +112,6 @@ _SESSION_EVICTIONS = counter_handle("serve.session_evictions")
 _PENDING = gauge_handle("serve.pending")
 _SESSIONS = gauge_handle("serve.sessions")
 
-# End-to-end (submit -> resolved reply) latency per request type, measured
-# with the obs-sanctioned monotonic clock.  9 bins/decade keeps quantile
-# estimates within ~13% — tight enough to judge SLO thresholds.
-_EVALUATE_LATENCY = histogram_handle(
-    "serve.evaluate.request_latency_s", lo=1e-6, hi=1e3, bins_per_decade=9
-)
-_ACTUATE_LATENCY = histogram_handle(
-    "serve.actuate.request_latency_s", lo=1e-6, hi=1e3, bins_per_decade=9
-)
-_SWEEP_LATENCY = histogram_handle(
-    "serve.sweep.request_latency_s", lo=1e-6, hi=1e3, bins_per_decade=9
-)
-_SEARCH_LATENCY = histogram_handle(
-    "serve.search.request_latency_s", lo=1e-6, hi=1e3, bins_per_decade=9
-)
-_JOINT_LATENCY = histogram_handle(
-    "serve.joint.request_latency_s", lo=1e-6, hi=1e3, bins_per_decade=9
-)
-_COVERAGE_LATENCY = histogram_handle(
-    "serve.coverage.request_latency_s", lo=1e-6, hi=1e3, bins_per_decade=9
-)
-
 _SPAN_BATCH = "serve.batch"
 _SPAN_SESSION_BUILD = "serve.session_build"
 _SPAN_REQUEST = "serve.request"
@@ -147,6 +126,11 @@ class ServiceOverloaded(RuntimeError):
 
 class ServiceClosed(RuntimeError):
     """Raised when submitting to a service that has been closed."""
+
+
+#: Scenario sessions kept hot by default: the service's LRU, and the
+#: fixed bound of each pool worker's own session cache.
+SESSION_CAPACITY = 8
 
 
 @dataclass(frozen=True)
@@ -168,14 +152,15 @@ class ServiceConfig:
         :meth:`EnvironmentService.submit` raises
         :class:`ServiceOverloaded`.
     session_capacity:
-        How many scenario sessions stay hot in the LRU.
+        How many scenario sessions stay hot in the service's LRU.  Pool
+        workers keep at most :data:`SESSION_CAPACITY` each, whatever
+        this is set to.
     search_jobs:
-        Worker-pool sizing for every non-coalesced request (sweep,
-        search, joint, coverage), as in
-        :func:`repro.experiments.runner.resolve_jobs` (``None``/``1`` =
-        inline in the event loop process, ``<= 0`` = all CPUs).  Pools
-        are the persistent shared executors — no per-request spin-up —
-        and each worker keeps up to :data:`WORKER_SESSIONS` sessions.
+        Worker-pool sizing for search, joint and coverage requests, as
+        in :func:`repro.experiments.runner.resolve_jobs` (``None``/``1``
+        = inline in the event loop process, ``<= 0`` = all CPUs).  Pools
+        are the persistent shared executors — no per-request spin-up.
+        Sweeps always run inline: see :meth:`EnvironmentService._serve`.
     trace_sample:
         Deterministic request-trace sampling: every ``trace_sample``-th
         admitted request gets a full stitched span timeline (``1`` =
@@ -203,7 +188,7 @@ class ServiceConfig:
     batch_window_s: float = 0.0
     max_batch: int = 64
     max_pending: int = 256
-    session_capacity: int = 8
+    session_capacity: int = SESSION_CAPACITY
     search_jobs: Optional[int] = None
     trace_sample: int = 16
     trace_capacity: int = 256
@@ -381,24 +366,24 @@ Request = Union[
 #: Ops the micro-batcher coalesces into one vectorized basis evaluation.
 _COALESCED = (EvaluateRequest, ActuateRequest)
 
-#: End-to-end latency histogram for each request type.
+# End-to-end (submit -> resolved reply) latency per request type, measured
+# with the obs-sanctioned monotonic clock.  9 bins/decade keeps quantile
+# estimates within ~13% — tight enough to judge SLO thresholds.
+_BINS: Dict[str, Any] = dict(lo=1e-6, hi=1e3, bins_per_decade=9)
 _LATENCY_BY_TYPE = {
-    EvaluateRequest: _EVALUATE_LATENCY,
-    ActuateRequest: _ACTUATE_LATENCY,
-    SweepRequest: _SWEEP_LATENCY,
-    SearchRequest: _SEARCH_LATENCY,
-    JointOptimizeRequest: _JOINT_LATENCY,
-    CoverageRequest: _COVERAGE_LATENCY,
+    EvaluateRequest: histogram_handle("serve.evaluate.request_latency_s", **_BINS),
+    ActuateRequest: histogram_handle("serve.actuate.request_latency_s", **_BINS),
+    SweepRequest: histogram_handle("serve.sweep.request_latency_s", **_BINS),
+    SearchRequest: histogram_handle("serve.search.request_latency_s", **_BINS),
+    JointOptimizeRequest: histogram_handle("serve.joint.request_latency_s", **_BINS),
+    CoverageRequest: histogram_handle("serve.coverage.request_latency_s", **_BINS),
 }
 
-#: Scenario sessions one pool worker keeps hot, least recently used
-#: dropped first.
-WORKER_SESSIONS = 8
 
-
-@lru_cache(maxsize=WORKER_SESSIONS)
+@lru_cache(maxsize=SESSION_CAPACITY)
 def _worker_session(spec: ScenarioSpec) -> ScenarioSession:
-    """A pool worker's own session for ``spec``, built on first use.
+    """A pool worker's own session for ``spec``, built on first use and
+    dropped least recently used first.
 
     Built bound to no request, so a cold build adds no span to the
     timeline of the request that happened to trigger it.
@@ -833,20 +818,21 @@ class EnvironmentService:
                     self._end_member(trace, batch_span_id, t_batch)
                 return
             self._run_coalesced(session, batch)
-            for request, _, trace in batch:
-                if isinstance(request, _COALESCED):
+            served = []
+            for request, future, trace in batch:
+                if isinstance(request, _COALESCED) or future.done():
+                    # Served above, or cancelled by its client before the
+                    # flush.
                     self._end_member(trace, batch_span_id, t_batch)
+                else:
+                    served.append(
+                        self._serve(
+                            session, request, future, trace, batch_span_id, t_batch
+                        )
+                    )
             # Every other member starts at once: one slow search holds up
             # no other member of its flush.
-            await asyncio.gather(
-                *(
-                    self._serve(
-                        session, request, future, trace, batch_span_id, t_batch
-                    )
-                    for request, future, trace in batch
-                    if not future.done() and not isinstance(request, _COALESCED)
-                )
-            )
+            await asyncio.gather(*served)
 
     @staticmethod
     def _end_member(
@@ -937,11 +923,15 @@ class EnvironmentService:
         :func:`compute` runs inline on this service's session, or, when
         ``search_jobs`` asks for a pool, on a worker that resolves the
         request's scenario through its own session cache, so only the
-        request crosses the pickle boundary.  Inline ``traced_call`` runs
-        emit straight into this process's tracer, whose sink feeds the
-        store; a worker's spans come back with the result and are merged
-        here.  A worker death fails this request and disposes the pool,
-        so the next request gets a fresh one.
+        request crosses the pickle boundary.  Sweeps stay inline at any
+        ``search_jobs``: a sweep is one vectorized pass over a small
+        enumerable space (large arrays refuse it), cheaper than the pool
+        round trip it would pay.  Inline ``traced_call`` runs emit
+        straight into this process's tracer, whose sink feeds the store;
+        a worker's spans come back with the result and are merged here.
+        A worker death fails this request and disposes the pool that
+        died, so the next request gets a fresh one; a pool shut down
+        under a queued request fails that request too.
         """
         context = None
         if trace is not None and trace.context is not None and enabled():
@@ -949,20 +939,27 @@ class EnvironmentService:
             # request's work shows up where the flush that dispatched it does.
             context = RequestContext(trace.context.request_id, batch_span_id)
         jobs = self.config.search_jobs
-        pool = shared_pool(jobs)
+        pool = None if isinstance(request, SweepRequest) else shared_pool(jobs)
         try:
             if pool is None:
                 result, _ = traced_call(context, compute, request, session)
             else:
-                result, records = await asyncio.get_running_loop().run_in_executor(
+                pending = asyncio.get_running_loop().run_in_executor(
                     pool, traced_call, context, compute, request
                 )
+                # Waited on, not awaited: a pool shut down with this call
+                # still queued cancels ``pending``, which must fail the
+                # request rather than cancel this task.
+                await asyncio.wait((pending,))
+                if pending.cancelled():
+                    raise BrokenProcessPool("worker pool shut down under the request")
+                result, records = pending.result()
                 self.trace_store.extend(
                     SpanRecord.from_dict(record) for record in records
                 )
         except Exception as error:
             if isinstance(error, BrokenProcessPool):
-                dispose_shared_pool(jobs)
+                dispose_shared_pool(jobs, pool)
             self._reject_future(future, error)
         else:
             if not future.cancelled():

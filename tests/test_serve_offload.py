@@ -3,10 +3,12 @@
 Sweeps, searches, joints and coverage grids take one route.  With a pool
 the service ships ``traced_call(context, compute, request)`` and nothing
 else: the worker resolves the scenario through its own session cache.
-These tests pin what that route promises: the members of one flush run
-concurrently, no basis crosses the pickle boundary, a dead worker fails
-its request and the next one gets a fresh pool, and neither ``close()``
-nor a cancelling client leaves a future hanging.
+Sweeps always run inline.  These tests pin what that route promises: the
+members of one flush run concurrently, no basis crosses the pickle
+boundary, a dead worker fails its request and the next one gets a fresh
+pool, a late failure of a replaced pool leaves the fresh pool alone, and
+neither ``close()``, a pool shut down under a queued request, nor a
+cancelling client leaves a future hanging.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.core.basis import ChannelBasis
+from repro.experiments import runner
 from repro.experiments.runner import resolve_jobs, shared_pool, traced_call
 from repro.serve import (
     CoverageRequest,
@@ -42,14 +45,17 @@ LINKS = (JointLinkSpec(name="a"), JointLinkSpec(name="b", dx_m=0.4))
 #: Bound on every wait below: a hang fails the test instead of the run.
 TIMEOUT_S = 30.0
 
-#: One request of each offloaded kind.
-OFFLOADED = (
+#: One request of each non-coalesced kind.
+NON_COALESCED = (
     SweepRequest(NLOS, repetitions=2, seed=9, drift_phase_rad=0.08),
     SearchRequest(NLOS, "rfocus", seed=3),
     SearchRequest(NLOS, "greedy", seed=1),
     JointOptimizeRequest(NLOS, LINKS, searcher="greedy"),
     CoverageRequest(NLOS, rows=2, cols=3),
 )
+
+#: The ones a service with a pool ships to it: all but the sweep.
+POOLED = NON_COALESCED[1:]
 
 
 class RecordingPool:
@@ -80,6 +86,19 @@ class RecordingPool:
     def _run(fn, args, future: Future) -> None:
         shipped_fn, shipped_args = pickle.loads(pickle.dumps((fn, args)))
         future.set_result(shipped_fn(*shipped_args))
+
+
+class HeldPool:
+    """An executor whose calls never run: each stays queued until the
+    test settles or cancels its future."""
+
+    def __init__(self) -> None:
+        self.futures: list = []
+
+    def submit(self, fn, /, *args):
+        future: Future = Future()
+        self.futures.append(future)
+        return future
 
 
 class CountingPool:
@@ -139,7 +158,7 @@ async def _serve_inline(requests):
 def test_flush_submits_every_offloaded_member_before_any_completes(
     recording_pool,
 ):
-    requests = (*OFFLOADED, EvaluateRequest(NLOS, ((0, 1, 2),)))
+    requests = (*NON_COALESCED, EvaluateRequest(NLOS, ((0, 1, 2),)))
 
     async def drive():
         config = ServiceConfig(search_jobs=2, batch_window_s=0.01)
@@ -147,11 +166,12 @@ def test_flush_submits_every_offloaded_member_before_any_completes(
             tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
             try:
                 await asyncio.wait_for(
-                    _until(lambda: len(recording_pool.calls) == len(OFFLOADED)),
+                    _until(lambda: len(recording_pool.calls) == len(POOLED)),
                     TIMEOUT_S,
                 )
-                # Nothing offloaded has completed, yet every member is out.
-                assert not any(task.done() for task in tasks[: len(OFFLOADED)])
+                # Nothing pooled has completed, yet every member is out.
+                pooled = tasks[1 : len(NON_COALESCED)]
+                assert not any(task.done() for task in pooled)
             finally:
                 recording_pool.release()  # on failure too: close() waits
             return await asyncio.wait_for(asyncio.gather(*tasks), TIMEOUT_S)
@@ -161,7 +181,7 @@ def test_flush_submits_every_offloaded_member_before_any_completes(
         assert fn is traced_call
         context, task_fn, request = args  # the request, and nothing else
         assert task_fn is service_module.compute
-        assert request in OFFLOADED
+        assert request in POOLED
         assert not _holds_basis((fn, args))
     assert served == asyncio.run(_serve_inline(requests))
 
@@ -177,11 +197,11 @@ def test_client_cancelling_while_its_batch_runs(recording_pool):
         async with EnvironmentService(config) as service:
             tasks = [
                 asyncio.ensure_future(service.submit(r))
-                for r in (*OFFLOADED, EvaluateRequest(NLOS, ((0, 0, 0),)))
+                for r in (*NON_COALESCED, EvaluateRequest(NLOS, ((0, 0, 0),)))
             ]
             try:
                 await asyncio.wait_for(
-                    _until(lambda: len(recording_pool.calls) == len(OFFLOADED)),
+                    _until(lambda: len(recording_pool.calls) == len(POOLED)),
                     TIMEOUT_S,
                 )
                 batches = list(service._executions)
@@ -200,14 +220,14 @@ def test_client_cancelling_while_its_batch_runs(recording_pool):
     assert isinstance(done[1], asyncio.CancelledError)
     assert isinstance(done[3], asyncio.CancelledError)
     expected = asyncio.run(
-        _serve_inline([OFFLOADED[0], OFFLOADED[2], OFFLOADED[4]])
+        _serve_inline([NON_COALESCED[0], NON_COALESCED[2], NON_COALESCED[4]])
     )
     assert [done[0], done[2], done[4]] == expected
     assert not errors
 
 
 def test_close_settles_pool_work_in_flight(monkeypatch):
-    requests = (*OFFLOADED, EvaluateRequest(NLOS, ((3, 2, 1),)))
+    requests = (*NON_COALESCED, EvaluateRequest(NLOS, ((3, 2, 1),)))
     pool = CountingPool(shared_pool(2))
     _route_pooled_requests_to(pool, monkeypatch)
 
@@ -215,7 +235,7 @@ def test_close_settles_pool_work_in_flight(monkeypatch):
         service = EnvironmentService(ServiceConfig(search_jobs=2))
         tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
         await asyncio.wait_for(
-            _until(lambda: pool.submitted == len(OFFLOADED)), TIMEOUT_S
+            _until(lambda: pool.submitted == len(POOLED)), TIMEOUT_S
         )
         await asyncio.wait_for(service.close(), TIMEOUT_S)
         return await asyncio.wait_for(asyncio.gather(*tasks), TIMEOUT_S)
@@ -243,3 +263,51 @@ def test_dead_worker_fails_its_request_and_the_next_gets_a_fresh_pool():
 
     first, again = asyncio.run(drive())
     assert again == first
+
+
+def test_late_failure_of_a_replaced_pool_leaves_the_fresh_pool_running(
+    monkeypatch,
+):
+    broken = HeldPool()
+    serving = [broken]
+    monkeypatch.setattr(service_module, "shared_pool", lambda jobs: serving[0])
+    search = SearchRequest(NLOS, "rfocus", seed=3)
+
+    async def drive():
+        async with EnvironmentService(ServiceConfig(search_jobs=2)) as service:
+            stale = asyncio.ensure_future(service.submit(search))
+            await asyncio.wait_for(_until(lambda: broken.futures), TIMEOUT_S)
+            # The broken pool was replaced while the request sat on it.
+            fresh = runner.shared_pool(2)
+            serving[0] = fresh
+            first = await asyncio.wait_for(service.submit(search), TIMEOUT_S)
+            broken.futures[0].set_exception(BrokenProcessPool("late"))
+            with pytest.raises(BrokenProcessPool):
+                await asyncio.wait_for(stale, TIMEOUT_S)
+            assert runner.shared_pool(2) is fresh
+            again = await asyncio.wait_for(service.submit(search), TIMEOUT_S)
+            return first, again
+
+    first, again = asyncio.run(drive())
+    assert again == first
+
+
+def test_pool_shut_down_under_a_queued_request_fails_it(monkeypatch):
+    pool = HeldPool()
+    _route_pooled_requests_to(pool, monkeypatch)
+
+    async def drive():
+        async with EnvironmentService(ServiceConfig(search_jobs=2)) as service:
+            tasks = [asyncio.ensure_future(service.submit(r)) for r in POOLED]
+            await asyncio.wait_for(
+                _until(lambda: len(pool.futures) == len(POOLED)), TIMEOUT_S
+            )
+            # What shutdown(cancel_futures=True) does to queued calls.
+            for future in pool.futures:
+                future.cancel()
+            return await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), TIMEOUT_S
+            )
+
+    done = asyncio.run(drive())
+    assert all(isinstance(error, BrokenProcessPool) for error in done)

@@ -180,7 +180,40 @@ def test_trace_structure_identical_across_jobs():
         # The worker's cold session build joined no request.
         assert "testbed.basis_trace" not in pooled_names
         workers = [r for r in pooled_traces[request_id] if r.name == "task.worker"]
-        assert len(workers) == 1 and workers[0].pid != os.getpid()
+        assert len(workers) == 1
+        # Sweeps run inline at any search_jobs; the rest on a worker.
+        inline = request_id == "req-sweep"
+        assert (workers[0].pid == os.getpid()) == inline, request_id
+
+
+def test_member_cancelled_before_its_flush_keeps_its_batch_span():
+    async def serve():
+        config = ServiceConfig(batch_window_s=0.05)
+        async with EnvironmentService(config) as service:
+
+            async def one(request_id, request):
+                with ServiceClient.bind(request_id):
+                    return await service.submit(request)
+
+            gone = asyncio.ensure_future(
+                one("req-gone", SearchRequest(NLOS, "greedy", seed=1))
+            )
+            kept = asyncio.ensure_future(
+                one("req-kept", SweepRequest(NLOS, repetitions=1))
+            )
+            await asyncio.sleep(0)  # both admitted, neither flushed
+            gone.cancel()
+            await kept
+            return service.request_traces()
+
+    traces = _run(serve())
+    for request_id in ("req-gone", "req-kept"):
+        assert _names(traces[request_id])[:3] == [
+            "serve.request",
+            "serve.queue",
+            "serve.batch_member",
+        ], request_id
+    assert "task.worker" not in _names(traces["req-gone"])
 
 
 def test_responses_bit_identical_with_obs_off():
