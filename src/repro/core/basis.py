@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -71,13 +72,13 @@ _EVALUATIONS = counter_handle("core.basis.evaluations")
 _CONFIGS_EVALUATED = counter_handle("core.basis.configurations_evaluated")
 _DELTA_EVALS = counter_handle("search.delta_evals")
 
-#: Elements :meth:`DeltaEvaluator.first_improvement` scores per kernel
-#: call.  Greedy descent accepts a move every few elements and each accept
-#: restarts the scan, so past a handful of elements a chunk mostly scores
-#: candidates that are thrown away.  On a 2-vCPU x86 host, chunks of 4 to
-#: 8 were fastest both for N = 256 single-link searches and for N = 64
-#: joint rounds over eight links; 16 and more lost on the joint rounds.
-_SCAN_CHUNK = 8
+#: Most candidate rows (elements x states x links) one kernel call of
+#: :meth:`DeltaEvaluator.first_improvement` scores.  The scan window
+#: starts at two elements, since greedy descent accepts most moves within
+#: an element or two of the last, and doubles while nothing improves, up
+#: to this many rows: 64 elements of a 4-state single-link array, 8 over
+#: eight links.
+_SCAN_ROWS = 256
 
 #: Largest configuration space the vectorized exhaustive path will
 #: materialize as an (M^N, N) index table.  4^10 = 2^20 rows of N intp
@@ -649,9 +650,7 @@ class BasisEvaluator:
             tx_power_dbm=self.tx_power_dbm,
             noise_figure_db=self.noise_figure_db,
         )
-        if self.mask is not None:
-            snr = snr[..., self.mask]
-        return snr
+        return _masked(snr, self.mask)
 
     def __call__(self, configuration: ArrayConfiguration) -> float:
         return float(self.objective(self._snr_db(self.basis.cfr(configuration))))
@@ -683,6 +682,17 @@ class BasisEvaluator:
     ) -> "DeltaEvaluator":
         """An incrementally-scored working copy of this evaluator."""
         return DeltaEvaluator([self], initial=initial, resync_interval=resync_interval)
+
+
+def _masked(values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """``values[..., mask]`` for a boolean subcarrier mask.
+
+    ``np.take`` of the kept indices gives the same C-contiguous array as
+    the boolean index, about ten times faster on an (N, M, K) tensor.
+    """
+    if mask is None:
+        return values
+    return np.take(values, np.flatnonzero(mask), axis=-1)
 
 
 def _scoring_key(evaluator: BasisEvaluator) -> tuple:
@@ -735,11 +745,20 @@ class DeltaEvaluator:
 
     The evaluator keeps two states: a *working* configuration mutated by
     :meth:`flip`/:meth:`flip_many`, and a *committed* snapshot restored
-    bit-exactly by :meth:`revert` and advanced by :meth:`commit`.  Every
-    ``resync_interval`` applied flips the running sums are recomputed from
-    scratch at a deterministic point, bounding floating-point drift so
-    delta-scored values stay within 1e-9 of the full path over arbitrarily
-    long flip sequences (``tests/test_delta_evaluator.py``).
+    bit-exactly by :meth:`revert` and advanced by :meth:`commit` and
+    :meth:`adopt`.  Every ``resync_interval`` applied flips the running
+    sums are recomputed from scratch at a deterministic point, bounding
+    floating-point drift so delta-scored values stay within 1e-9 of the
+    full path over arbitrarily long flip sequences
+    (``tests/test_delta_evaluator.py``).
+
+    :meth:`adopt` defers its configuration's score: the next
+    :meth:`first_improvement` scores it as one more row of its own kernel
+    call, and every other reader of the score (:attr:`score`,
+    :meth:`per_link_scores`, :meth:`commit`, :meth:`revert`, the flips and
+    :meth:`set_configuration`) scores it first if no scan has.  Rows are
+    scored independently, so the deferred score has the bits an eager
+    re-score would give.
 
     Bookkeeping matches :class:`~repro.core.search.CountingScore`, the
     callback twin of this protocol: ``num_scores`` counts scored probes
@@ -806,9 +825,8 @@ class DeltaEvaluator:
         # elementwise — so the mask is applied once to the tensors and the
         # ambient CFRs up front, not per probe.  Scores are elementwise
         # identical to masking after the fact.
-        keep = slice(None) if first.mask is None else first.mask
         tensors = [
-            np.ascontiguousarray(evaluator.basis.state_tensor[:, :, keep])
+            np.ascontiguousarray(_masked(evaluator.basis.state_tensor, first.mask))
             for evaluator in evaluators
         ]
         # T[n, m, l, k]; a single link is a view, not a copy.
@@ -817,17 +835,24 @@ class DeltaEvaluator:
         else:
             self._tensor = np.stack(tensors, axis=2)
         self._ambient = np.stack(
-            [evaluator.basis.ambient_cfr()[keep] for evaluator in evaluators]
+            [_masked(evaluator.basis.ambient_cfr(), first.mask) for evaluator in evaluators]
         )
-        # Scan bookkeeping: which (element, state) rows are real states.
-        self._valid = np.arange(self._tensor.shape[1])[None, :] < np.array(
-            space.state_counts
-        )[:, None]
-        self._ragged = not bool(self._valid.all())
+        # Scan buffers, reused by every kernel call: a window's candidate
+        # CFRs and their SNRs, plus one row for an adopted configuration.
         # Mapping the objective row by row costs as much per row as the
-        # scan it would save, so only a row form earns the chunked scan.
-        chunk = _SCAN_CHUNK if self._objective_rows is not None else 1
-        self._chunk_rows = np.arange(chunk)
+        # scan it would save, so only a row form earns a window wider
+        # than one element.
+        _, max_states, num_links, num_subcarriers = self._tensor.shape
+        self._scan_cap = 1
+        if self._objective_rows is not None:
+            self._scan_cap = max(1, _SCAN_ROWS // (max_states * num_links))
+        rows = self._scan_cap * max_states + 1
+        self._cfr_rows = np.empty((rows, num_links, num_subcarriers), dtype=complex)
+        self._snr_rows = np.empty((rows, num_links, num_subcarriers))
+        self._base_rows = np.empty((self._scan_cap, num_links, num_subcarriers), dtype=complex)
+        # T as (N*M, L, K) rows: element e in state m is row e*M + m.
+        self._state_rows = self._tensor.reshape(-1, num_links, num_subcarriers)
+        self._first_rows = np.arange(space.num_elements) * max_states
         self._resync_interval = int(resync_interval)
         self._flips_since_resync = 0
         if initial is None:
@@ -838,7 +863,7 @@ class DeltaEvaluator:
         self._indices = indices
         # Per-score constants of BasisEvaluator._snr_db / snr_db_from_cfr,
         # hoisted out of the per-flip path.  The operation order below in
-        # _snr_db_fast is exactly the library's (p * |H|^2 / n, floor,
+        # _objective_scores is exactly the library's (p * |H|^2 / n, floor,
         # 10*log10), so delta scores are bit-identical to the full path's
         # — only the constant recomputation and dispatch overhead go.
         self._subcarrier_power_w = float(
@@ -849,6 +874,7 @@ class DeltaEvaluator:
             first.noise_figure_db,
         )
         self._sum = self._full_sum()
+        self._pending = False
         self._rescore()
         self._committed_indices = self._indices.copy()
         self._committed_sum = self._sum.copy()
@@ -867,6 +893,7 @@ class DeltaEvaluator:
     @property
     def score(self) -> float:
         """Aggregate value of the current working configuration."""
+        self._settle()
         return self._score
 
     @property
@@ -881,6 +908,7 @@ class DeltaEvaluator:
 
     def per_link_scores(self) -> np.ndarray:
         """Each link's objective at the current working configuration."""
+        self._settle()
         return self._links.copy()
 
     # -- internals ------------------------------------------------------
@@ -888,24 +916,32 @@ class DeltaEvaluator:
         rows = np.arange(self._space.num_elements)
         return self._tensor[rows, self._indices].sum(axis=0)
 
-    def _snr_db_fast(self, cfr: np.ndarray) -> np.ndarray:
-        """BasisEvaluator._snr_db with the per-call constants precomputed.
+    def _objective_scores(self, cfr: np.ndarray, snr: np.ndarray) -> np.ndarray:
+        """Each link's objective for CFRs of shape ``(..., L, K)``.
 
+        ``snr`` is scratch space of ``cfr``'s shape for the SNR map of
+        BasisEvaluator._snr_db, with its per-call constants precomputed.
         ``cfr`` is already mask-restricted (the working tensor is); the
         operation order matches :func:`~repro.em.channel.snr_db_from_cfr`
         exactly, so values are bit-identical to the full path's.
         """
-        snr_linear = self._subcarrier_power_w * np.abs(cfr) ** 2 / self._noise_w
-        return 10.0 * np.log10(np.maximum(snr_linear, 1e-30))
-
-    def _link_scores(self, sums: np.ndarray) -> np.ndarray:
-        """Each link's objective for running sums of shape ``(..., L, K)``."""
-        snr = self._snr_db_fast(self._ambient + sums)
+        np.abs(cfr, out=snr)
+        np.square(snr, out=snr)
+        np.multiply(self._subcarrier_power_w, snr, out=snr)
+        np.divide(snr, self._noise_w, out=snr)
+        np.maximum(snr, 1e-30, out=snr)
+        np.log10(snr, out=snr)
+        np.multiply(10.0, snr, out=snr)
         if self._objective_rows is not None:
             return self._objective_rows(snr)
         rows = snr.reshape(-1, snr.shape[-1])
         scores = np.fromiter(map(self._objective, rows), float, len(rows))
         return scores.reshape(snr.shape[:-1])
+
+    def _link_scores(self, sums: np.ndarray) -> np.ndarray:
+        """Each link's objective for running sums of shape ``(..., L, K)``."""
+        cfr = self._ambient + sums
+        return self._objective_scores(cfr, np.empty(cfr.shape))
 
     def _joint_score(self, link_scores: np.ndarray) -> float:
         """Aggregate one probe's per-link scores, shape ``(L,)``."""
@@ -920,6 +956,17 @@ class DeltaEvaluator:
         self._score = self._joint_score(self._links)
         return self._score
 
+    def _settle(self) -> None:
+        """Score an adopted configuration that no scan has scored yet."""
+        if self._pending:
+            self._settle_with(self._link_scores(self._sum))
+
+    def _settle_with(self, links: np.ndarray) -> None:
+        """Take ``links`` as the adopted (working and committed) scores."""
+        self._links = self._committed_links = links
+        self._score = self._committed_score = self._joint_score(links)
+        self._pending = False
+
     def _record(self, value: float) -> None:
         self.num_scores += 1
         _DELTA_EVALS.inc()
@@ -933,7 +980,7 @@ class DeltaEvaluator:
             self._sum = self._full_sum()
             self._flips_since_resync = 0
 
-    def _move(self, element: int, state: int) -> float:
+    def _move(self, element: int, state: int) -> None:
         if not 0 <= element < self._space.num_elements:
             raise IndexError(f"element {element} out of range")
         if not 0 <= state < self._space.state_counts[element]:
@@ -946,25 +993,28 @@ class DeltaEvaluator:
             self._sum += self._tensor[element, state] - self._tensor[element, previous]
             self._indices[element] = state
             self._count_flips(1)
-        return self._rescore()
 
     # -- mutation -------------------------------------------------------
     def flip(self, element: int, state: int) -> float:
         """Set one element's state on every link and return the new score."""
-        value = self._move(element, state)
+        self._settle()
+        self._move(element, state)
+        value = self._rescore()
         self._record(value)
         return value
 
-    def adopt(self, element: int, state: int) -> float:
+    def adopt(self, element: int, state: int) -> None:
         """Move one element to a state a scan has measured, and commit.
 
         Greedy descent's accept step: :meth:`first_improvement` already
         charged the sounding for this configuration, so no probe is
-        counted.  The arithmetic is :meth:`flip`'s, so the committed score
-        is exactly what a charged flip would return.
+        counted.  The running sums move with :meth:`flip`'s arithmetic,
+        and the new score is left for the next reader to compute.
         """
         self._move(element, state)
-        return self.commit()
+        self._committed_indices = self._indices.copy()
+        self._committed_sum = self._sum.copy()
+        self._pending = True
 
     def flip_many(
         self,
@@ -980,6 +1030,7 @@ class DeltaEvaluator:
         a repeated element would corrupt the running sum.
         """
         element_idx, state_idx = self._space.check_moves(elements, states)
+        self._settle()
         if element_idx.size:
             previous = self._indices[element_idx]
             changed = state_idx != previous
@@ -998,6 +1049,7 @@ class DeltaEvaluator:
     def set_configuration(self, configuration: ArrayConfiguration) -> float:
         """Jump to an arbitrary configuration (full O(N*K·L) recompute)."""
         self._space.validate(configuration)
+        self._settle()
         self._indices = np.array(configuration.indices, dtype=np.intp)
         self._sum = self._full_sum()
         self._flips_since_resync = 0
@@ -1007,6 +1059,7 @@ class DeltaEvaluator:
 
     def revert(self) -> float:
         """Bit-exact rollback to the committed configuration (free)."""
+        self._settle()
         self._indices = self._committed_indices.copy()
         self._sum = self._committed_sum.copy()
         self._links = self._committed_links
@@ -1015,6 +1068,7 @@ class DeltaEvaluator:
 
     def commit(self) -> float:
         """Make the working configuration the new revert point."""
+        self._settle()
         self._committed_indices = self._indices.copy()
         self._committed_sum = self._sum.copy()
         self._committed_links = self._links
@@ -1025,11 +1079,11 @@ class DeltaEvaluator:
     def scores_for_element(self, element: int) -> np.ndarray:
         """Score every state of one element, vectorized over states and links.
 
-        The greedy-descent kernel: the candidate sums for all M states of
-        ``element`` on every link are formed in one (M, L, K) broadcast
-        from one gather, scored in one batched SNR evaluation and then
-        aggregated once per state.  Counts M-1 probes (the current state's
-        score is already known).
+        The per-element form of :meth:`first_improvement`'s kernel: the
+        candidate sums for all M states of ``element`` on every link are
+        formed in one (M, L, K) broadcast from one gather, scored in one
+        batched SNR evaluation and then aggregated once per state.  Counts
+        M-1 probes (the current state's score is already known).
         """
         if not 0 <= element < self._space.num_elements:
             raise IndexError(f"element {element} out of range")
@@ -1045,84 +1099,98 @@ class DeltaEvaluator:
                 self._record(float(scores[m]))
         return scores
 
-    def first_improvement(
-        self, start: int, threshold: float
-    ) -> Optional[tuple[int, int]]:
+    def first_improvement(self, start: int) -> Optional[tuple[int, int]]:
         """Greedy descent's scan: the first element from ``start`` worth moving.
 
-        Scans elements ``start, start + 1, ...`` as repeated
-        :meth:`scores_for_element` calls would, and stops at the first
-        whose best state (first index on ties) differs from its current
-        state and scores above ``threshold``; returns ``(element, state)``,
-        or ``None`` past the last element.  Soundings are charged exactly
-        as those calls charge them, through the returned element only.
+        Scans elements ``start, start + 1, ...`` of the working
+        configuration as repeated :meth:`scores_for_element` calls would,
+        and stops at the first whose best state (first index on ties)
+        differs from its current state and scores above the committed
+        score; returns ``(element, state)``, or ``None`` past the last
+        element.  Soundings are charged exactly as those calls charge
+        them, through the returned element only.  ``start`` must lie in
+        ``[0, N]``; anything else raises ``IndexError`` before a probe.
 
-        Between two accepted moves the running sum does not change, so
-        :data:`_SCAN_CHUNK` elements are scored per kernel call: their
-        candidate sums ``(sum - T[e, cur_e]) + T[e, m]`` form one
-        ``(C, M, L, K)`` broadcast — the same elementwise arithmetic as
-        :meth:`scores_for_element`, so the scores are bit-identical — and
-        the objective's ``rows`` form scores them in one call.  Rows past
-        an element's state count score ``-inf``.  An objective without a
-        ``rows`` form is mapped row by row, one element per call.
+        Between two accepted moves the running sum does not change, so a
+        window of elements is scored per kernel call: their candidate sums
+        ``(sum - T[e, cur_e]) + T[e, m]`` are the same elementwise
+        arithmetic as :meth:`scores_for_element`, so the scores are
+        bit-identical, and the objective's ``rows`` form scores them in
+        one call.  The window starts at two elements and doubles while
+        nothing improves, up to :data:`_SCAN_ROWS` rows; an objective
+        without a ``rows`` form is mapped row by row, one element per
+        call.  A configuration :meth:`adopt` left unscored rides along as
+        one more row of the first call, and its score is the threshold.
         """
         num_elements = self._space.num_elements
-        chunk = len(self._chunk_rows)
-        for lo in range(start, num_elements, chunk):
-            hi = min(lo + chunk, num_elements)
-            rows = self._chunk_rows[: hi - lo]
-            current = self._indices[lo:hi]
-            block = self._tensor[lo:hi]
-            links = self._link_scores((self._sum - block[rows, current])[:, None] + block)
-            scores = self._chunk_scores(links, lo, current, threshold)
-            winners = scores.argmax(axis=1)
-            improving = (winners != current) & (scores[rows, winners] > threshold)
-            found = bool(improving.any())
-            through = int(improving.argmax()) + 1 if found else hi - lo
-            charged = self._valid[lo : lo + through].copy()
-            charged[rows[:through], current[:through]] = False
-            self._record_many(scores[:through][charged])
-            if found:
-                return lo + through - 1, int(winners[through - 1])
+        if not 0 <= start <= num_elements:
+            raise IndexError(
+                f"scan start {start} out of range for {num_elements} elements"
+            )
+        width = min(2, self._scan_cap)
+        lo = start
+        while lo < num_elements or self._pending:
+            hi = min(lo + width, num_elements)
+            move = self._scan_window(lo, hi)
+            if move is not None:
+                return move
+            lo = hi
+            width = min(2 * width, self._scan_cap)
         return None
 
-    def _chunk_scores(
-        self, links: np.ndarray, lo: int, current: np.ndarray, threshold: float
-    ) -> np.ndarray:
-        """Aggregate ``(C, M, L)`` link scores of elements ``lo, lo + 1, ...``.
-
-        Returns ``(C, M)`` joint scores, ``-inf`` past each element's state
-        count.  An aggregate without a row form runs row by row, and only
-        up to the first element that improves on ``threshold``: the rows
-        after it stay ``-inf``, since the scan never charges them.
-        """
+    def _scan_window(self, lo: int, hi: int) -> Optional[tuple[int, int]]:
+        """One kernel call of :meth:`first_improvement` over elements ``lo:hi``."""
+        block = self._tensor[lo:hi]
+        count, max_states, num_links, _ = block.shape
+        current = self._indices[lo:hi]
+        candidates = count * max_states
+        used = candidates + self._pending
+        cfr = self._cfr_rows[:used]
+        held = self._state_rows[self._first_rows[lo:hi] + current]
+        base = np.subtract(self._sum, held, out=self._base_rows[:count])
+        np.add(base[:, None], block, out=cfr[:candidates].reshape(block.shape))
+        if self._pending:
+            cfr[candidates] = self._sum
+        np.add(self._ambient, cfr, out=cfr)
+        links = self._objective_scores(cfr, self._snr_rows[:used])
+        if self._pending:
+            self._settle_with(links[candidates])
+        threshold = self._committed_score
+        links = links[:candidates].reshape(count, max_states, num_links)
         if self._aggregate_rows is not None:
-            scores = self._aggregate_rows(links, self._weights)
-        elif self._aggregate is None and links.shape[-1] == 1:
-            scores = links[..., 0]
+            table = self._aggregate_rows(links, self._weights).tolist()
+        elif self._aggregate is None and num_links == 1:
+            table = links[..., 0].tolist()
         else:
-            scores = np.full(links.shape[:2], -np.inf)
-            for i, element_links in enumerate(links):
-                count = self._space.state_counts[lo + i]
-                scores[i, :count] = [self._joint_score(row) for row in element_links[:count]]
-                best = scores[i].argmax()
-                if best != current[i] and scores[i, best] > threshold:
-                    break
-            return scores
-        if self._ragged:
-            scores = np.where(self._valid[lo : lo + len(scores)], scores, -np.inf)
-        return scores
+            table = None  # aggregated row by row, up to the first accept
+        state_counts = self._space.state_counts[lo:hi]
+        charged: list[float] = []
+        move = None
+        for i, (state, states) in enumerate(zip(current.tolist(), state_counts)):
+            if table is None:
+                row = [self._joint_score(scores) for scores in links[i, :states]]
+            else:
+                row = table[i][:states]
+            charged += row[:state]
+            charged += row[state + 1 :]
+            top = max(row)
+            winner = row.index(top)
+            if winner != state and top > threshold:
+                move = (lo + i, winner)
+                break
+        self._record_many(charged)
+        return move
 
-    def _record_many(self, values: np.ndarray) -> None:
+    def _record_many(self, values: list[float]) -> None:
         """:meth:`_record` of each value in turn."""
-        if values.size == 0:
+        if not values:
             return
-        self.num_scores += values.size
-        _DELTA_EVALS.inc(values.size)
-        best = np.maximum.accumulate(values)
-        np.maximum(best, self._best, out=best)
-        self._best = float(best[-1])
-        self.trajectory.extend(best.tolist())
+        self.num_scores += len(values)
+        _DELTA_EVALS.inc(len(values))
+        running = accumulate(values, max, initial=self._best)
+        next(running)
+        self.trajectory.extend(running)
+        self._best = self.trajectory[-1]
 
 
 #: The joint scorer's former name.  The benchmark's layer probes

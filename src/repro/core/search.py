@@ -78,14 +78,19 @@ class Scorer(Protocol):
     best-so-far score after each one.
 
     :meth:`first_improvement` is greedy descent's scan.  From element
-    ``start`` on, it scores every other state of each element in turn,
-    charging M-1 soundings per element in state order, and stops at the
-    first element whose best state (first index on ties) differs from its
-    current one and scores above ``threshold``.  It returns that
-    ``(element, state)`` — nothing past it is charged — or ``None`` once
-    the last element is scanned.  The delta scorer scores several
-    elements per kernel call; the callback scorer measures one element at
-    a time, so it never sounds past the element it returns.
+    ``start`` (in ``[0, N]``) on, it scores every other state of each
+    element of the working configuration in turn, charging M-1 soundings
+    per element in state order, and stops at the first element whose best
+    state (first index on ties) differs from its current one and scores
+    above the committed score.  It returns that ``(element, state)`` —
+    nothing past it is charged — or ``None`` once the last element is
+    scanned.  :meth:`adopt` moves an element to a state a scan has
+    measured and commits it, without a sounding; it returns nothing, so a
+    scorer may leave the new score to its next reader.  The delta scorer
+    scores the adopted configuration as one more row of the next scan's
+    first kernel call, and several elements per call; the callback
+    scorer measures one element at a time, so it never sounds past the
+    element it returns, and reads adopted scores from its memo.
     """
 
     num_scores: int
@@ -101,11 +106,9 @@ class Scorer(Protocol):
 
     def flip_many(self, elements: Sequence[int], states: Sequence[int]) -> float: ...
 
-    def first_improvement(
-        self, start: int, threshold: float
-    ) -> Optional[tuple[int, int]]: ...
+    def first_improvement(self, start: int) -> Optional[tuple[int, int]]: ...
 
-    def adopt(self, element: int, state: int) -> float: ...
+    def adopt(self, element: int, state: int) -> None: ...
 
     def revert(self) -> float: ...
 
@@ -176,20 +179,24 @@ class CountingScore:
         self._indices[element] = held
         return np.array(scores)
 
-    def first_improvement(
-        self, start: int, threshold: float
-    ) -> Optional[tuple[int, int]]:
-        for element in range(start, self.space.num_elements):
+    def first_improvement(self, start: int) -> Optional[tuple[int, int]]:
+        num_elements = self.space.num_elements
+        if not 0 <= start <= num_elements:
+            raise IndexError(
+                f"scan start {start} out of range for {num_elements} elements"
+            )
+        threshold = self(ArrayConfiguration(tuple(int(i) for i in self._committed)))
+        for element in range(start, num_elements):
             scores = self.scores_for_element(element)
             candidate = int(np.argmax(scores))
             if candidate != self._indices[element] and scores[candidate] > threshold:
                 return element, candidate
         return None
 
-    def adopt(self, element: int, state: int) -> float:
+    def adopt(self, element: int, state: int) -> None:
         self.space.check_moves([element], [state])
         self._indices[element] = state
-        return self.commit()
+        self._committed = self._indices.copy()
 
     def revert(self) -> float:
         self._indices = self._committed.copy()
@@ -360,12 +367,14 @@ class GreedyCoordinateDescent(Searcher):
     sweep is a loop of :meth:`~Scorer.first_improvement` scans, each
     followed by an :meth:`~Scorer.adopt` of the move it found.  Against a
     channel basis (:meth:`Searcher.search_basis`) it runs on a
-    :class:`~repro.core.basis.DeltaEvaluator`, which scores a chunk of
-    elements' candidate states per kernel call from the running element
-    sum, so a full sweep costs O(N*M*K) total instead of O(N^2*M*K) —
-    per-candidate cost independent of array size.  Through
-    :meth:`Searcher.search` it runs on measured whole configurations,
-    one element at a time.  Both routes charge the same soundings.
+    :class:`~repro.core.basis.DeltaEvaluator`, which scores a growing
+    window of elements' candidate states per kernel call from the running
+    element sum, with the adopted configuration's own score as one more
+    row, so an accepted move costs one kernel call and a full sweep
+    O(N*M*K) total instead of O(N^2*M*K) — per-candidate cost independent
+    of array size.  Through :meth:`Searcher.search` it runs on measured
+    whole configurations, one element at a time.  Both routes charge the
+    same soundings.
     """
 
     max_sweeps: int = 4
@@ -389,7 +398,8 @@ class GreedyCoordinateDescent(Searcher):
         index wins ties) when that state scores strictly above the
         committed score, adopted without a second sounding.
         :meth:`~Scorer.first_improvement` finds the next such element, so
-        a sweep is one scan per accepted move plus one to the end.  The
+        a sweep is one scan per accepted move plus one to the end, and
+        the sweep's score is read once, from :meth:`~Scorer.commit`.  The
         first restart starts from the scorer's working configuration
         (all-zeros as built by :meth:`Searcher.search` and
         :meth:`Searcher.search_basis`), later ones from random
@@ -404,14 +414,15 @@ class GreedyCoordinateDescent(Searcher):
             current_score = score.commit()
             for _ in range(self.max_sweeps):
                 _ROUNDS.inc()
-                move = score.first_improvement(0, current_score)
+                move = score.first_improvement(0)
                 if move is None:
                     break
                 while move is not None:
                     element, state = move
-                    current_score = score.adopt(element, state)
+                    score.adopt(element, state)
                     _FLIPS.inc()
-                    move = score.first_improvement(element + 1, current_score)
+                    move = score.first_improvement(element + 1)
+                current_score = score.commit()
             if current_score > best_score:
                 best, best_score = score.configuration, current_score
         assert best is not None

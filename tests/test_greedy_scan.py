@@ -1,16 +1,21 @@
-"""Greedy descent's chunked scan against the per-element loop it replaced.
+"""Greedy descent's windowed scan against the per-element loop it replaced.
 
-``DeltaEvaluator.first_improvement`` scores several elements per kernel
-call and charges soundings only through the element it accepts.  The
+``DeltaEvaluator.first_improvement`` scores a growing window of elements
+per kernel call and charges soundings only through the element it
+accepts; ``adopt`` leaves the accepted configuration's score to the next
+scan, which scores it as one more row of its first kernel call.  The
 reference below is the per-element greedy loop over
-``scores_for_element``; on random scenes with mixed 2- and 4-state
-elements (padding rows filled with values a scorer must never read), at
-1, 2 and 8 links under every aggregate, the batched scan must return the
-same winner, best score, sounding count, trajectory and
-``search.delta_evals`` increment, compared with ``==``.
+``scores_for_element``, reading each accepted score at once; on random
+scenes with mixed 2- and 4-state elements (padding rows filled with
+values a scorer must never read), at 1, 2 and 8 links under every
+aggregate, the windowed scan must return the same winner, best score,
+sounding count, trajectory and ``search.delta_evals`` increment,
+compared with ``==``.  Every reader of a deferred score must see the
+bits an eager re-score gives.
 
-Both scorers also validate moves the same way: a bad element, state or
-repeated element raises before anything is measured.
+Both scorers also validate moves and scan starts the same way: a bad
+element, state, repeated element or scan start raises before anything is
+measured.
 """
 
 import math
@@ -29,13 +34,19 @@ from repro.core import (
     MinSnrObjective,
     joint_aggregate,
 )
-from repro.core.basis import _SCAN_CHUNK, ChannelBasis
+from repro.core.basis import _SCAN_ROWS, ChannelBasis
 from repro.core.search import CountingScore
 from repro.obs.metrics import global_registry
 
 SUBCARRIERS = 16
 BANDWIDTH_HZ = 5e6
 SCALE = 1e-5  # |H| of a few 1e-5 puts SNR in the tens of dB
+MAX_STATES = 4
+
+
+def _window_cap(num_links: int) -> int:
+    """Widest scan window, in elements, over ``num_links`` 4-state links."""
+    return _SCAN_ROWS // (MAX_STATES * num_links)
 
 
 def _basis(state_counts, tensor, ambient_gain=SCALE) -> ChannelBasis:
@@ -50,24 +61,29 @@ def _basis(state_counts, tensor, ambient_gain=SCALE) -> ChannelBasis:
     )
 
 
+def _padding(state_counts):
+    counts = np.asarray(state_counts)
+    return np.arange(int(counts.max()))[None, :] >= counts[:, None]
+
+
 def _random_bases(state_counts, num_links, seed):
     """Bases over one mixed space; padding rows hold large garbage."""
     rng = np.random.default_rng(seed)
-    counts = np.asarray(state_counts)
-    shape = (len(counts), int(counts.max()), SUBCARRIERS)
-    padding = np.arange(shape[1])[None, :] >= counts[:, None]
+    shape = (len(state_counts), max(state_counts), SUBCARRIERS)
     bases = []
     for _ in range(num_links):
         tensor = 0.4 * SCALE * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        tensor[padding] = 100 * SCALE
+        tensor[_padding(state_counts)] = 100 * SCALE
         bases.append(_basis(state_counts, tensor))
     return bases
 
 
-def _scorer(bases, objective=None, aggregate=None):
+def _scorer(bases, objective=None, aggregate=None, resync_interval=4096):
     evaluators = [b.evaluator(objective or MeanSnrObjective()) for b in bases]
     weights = [1.0 + 0.25 * link for link in range(len(bases))]
-    return DeltaEvaluator(evaluators, weights=weights, aggregate=aggregate)
+    return DeltaEvaluator(
+        evaluators, weights=weights, aggregate=aggregate, resync_interval=resync_interval
+    )
 
 
 def _delta_evals() -> int:
@@ -89,7 +105,8 @@ def reference_greedy(searcher, space, score):
                 scores = score.scores_for_element(element)
                 candidate = int(np.argmax(scores))
                 if candidate != held[element] and scores[candidate] > current_score:
-                    current_score = score.adopt(element, candidate)
+                    score.adopt(element, candidate)
+                    current_score = score.score  # re-scored at once
                     held[element] = candidate
                     improved = True
             if not improved:
@@ -108,7 +125,7 @@ def _outcome(run, scorer):
 
 
 def _run_both(searcher, make_scorer):
-    """The batched search's outcome, then the reference's, on fresh scorers."""
+    """The windowed search's outcome, then the reference's, on fresh scorers."""
     return (
         _outcome(searcher.run, make_scorer()),
         _outcome(partial(reference_greedy, searcher), make_scorer()),
@@ -119,11 +136,24 @@ def _mixed_counts(num_elements, seed):
     return tuple(int(c) for c in np.random.default_rng(seed).choice([2, 4], num_elements))
 
 
+def _spy_windows(scorer):
+    """Record each kernel call's ``(lo, hi)`` on ``scorer``."""
+    windows = []
+    scan = scorer._scan_window
+
+    def spy(lo, hi):
+        windows.append((lo, hi))
+        return scan(lo, hi)
+
+    scorer._scan_window = spy
+    return windows
+
+
 @pytest.mark.parametrize("max_sweeps", [1, 4])
 @pytest.mark.parametrize("aggregate", [None, "mean", "worst", "lexicographic"])
 @pytest.mark.parametrize("num_links", [1, 2, 8])
 def test_batched_scan_matches_per_element_greedy(num_links, aggregate, max_sweeps):
-    counts = _mixed_counts(3 * _SCAN_CHUNK + 5, seed=num_links)
+    counts = _mixed_counts(2 * _window_cap(num_links) + 5, seed=num_links)
     bases = _random_bases(counts, num_links, seed=10 * num_links + max_sweeps)
     searcher = GreedyCoordinateDescent(max_sweeps=max_sweeps, restarts=2, seed=4)
     agg = None if aggregate is None else joint_aggregate(aggregate)
@@ -141,7 +171,7 @@ def test_batched_scan_matches_per_element_greedy(num_links, aggregate, max_sweep
     ids=["mean-rows", "min-rows", "effective-snr-mapped"],
 )
 def test_batched_scan_matches_for_objectives_with_and_without_rows(objective):
-    counts = _mixed_counts(2 * _SCAN_CHUNK + 3, seed=7)
+    counts = _mixed_counts(_window_cap(1) + 19, seed=7)
     bases = _random_bases(counts, 1, seed=8)
     searcher = GreedyCoordinateDescent(max_sweeps=4, restarts=2, seed=1)
     (batched, _), (reference, _) = _run_both(searcher, lambda: _scorer(bases, objective))
@@ -149,7 +179,7 @@ def test_batched_scan_matches_for_objectives_with_and_without_rows(objective):
 
 
 def test_callback_route_matches_per_element_greedy():
-    counts = _mixed_counts(_SCAN_CHUNK + 3, seed=2)
+    counts = _mixed_counts(11, seed=2)
     evaluator = _random_bases(counts, 1, seed=3)[0].evaluator(MeanSnrObjective())
     space = ConfigurationSpace(counts)
     searcher = GreedyCoordinateDescent(max_sweeps=4, restarts=2, seed=5)
@@ -159,25 +189,37 @@ def test_callback_route_matches_per_element_greedy():
     assert batched == reference
 
 
+def _local_optimum(state_counts, num_links, improving=()):
+    """Bases where all-zeros beats every single move except ``improving``.
+
+    Each element's state 0 adds in phase with the ambient term and its
+    other states add nothing, so leaving state 0 only loses; an element in
+    ``improving`` gains in state 1.  Padding rows hold large garbage.
+    """
+    tensor = np.zeros((len(state_counts), max(state_counts), SUBCARRIERS), dtype=complex)
+    tensor[:, 0] = 0.01 * SCALE
+    tensor[list(improving), 1] = 0.5 * SCALE
+    tensor[_padding(state_counts)] = 100 * SCALE
+    return [_basis(state_counts, tensor) for _ in range(num_links)]
+
+
 def test_accepts_at_a_chunks_last_element_and_at_the_last_element():
-    """Only elements C-1 and N-1 can improve; the 2-state last element's
-    padding rows would win if the scan read them."""
-    num_elements = 2 * _SCAN_CHUNK + 3
+    """Only element 5, the last of the second window (2 + 4 elements), and
+    element N-1 can improve; the 2-state last element's padding rows would
+    win if the scan read them."""
+    num_elements = 2 * _window_cap(1) + 3
     counts = [4] * num_elements
     counts[-1] = 2
-    tensor = np.zeros((num_elements, 4, SUBCARRIERS), dtype=complex)
-    tensor[_SCAN_CHUNK - 1, 1] = 0.5 * SCALE
-    tensor[-1, 1] = 0.5 * SCALE
-    tensor[-1, 2:] = 100 * SCALE
-    basis = _basis(counts, tensor)
+    last = num_elements - 1
+    bases = _local_optimum(counts, 1, improving=(5, last))
     searcher = GreedyCoordinateDescent(max_sweeps=4, seed=0)
 
-    scorer = basis.evaluator(MeanSnrObjective()).delta()
+    scorer = _scorer(bases)
     scans, adopted = [], []
     scan, adopt = scorer.first_improvement, scorer.adopt
 
-    def spy_scan(start, threshold):
-        found = scan(start, threshold)
+    def spy_scan(start):
+        found = scan(start)
         scans.append((start, found))
         return found
 
@@ -187,32 +229,125 @@ def test_accepts_at_a_chunks_last_element_and_at_the_last_element():
 
     scorer.first_improvement, scorer.adopt = spy_scan, spy_adopt
     result = searcher.search_scorer(scorer)
-    last = num_elements - 1
-    assert adopted == [(_SCAN_CHUNK - 1, 1), (last, 1)]
-    assert scans == [
-        (0, (_SCAN_CHUNK - 1, 1)), (_SCAN_CHUNK, (last, 1)), (num_elements, None),
-        (0, None),
-    ]
-    assert result.best.indices[_SCAN_CHUNK - 1] == 1 and result.best.indices[last] == 1
+    assert adopted == [(5, 1), (last, 1)]
+    assert scans == [(0, (5, 1)), (6, (last, 1)), (num_elements, None), (0, None)]
+    assert result.best.indices[5] == 1 and result.best.indices[last] == 1
     (batched, batched_evals), (reference, reference_evals) = _run_both(
-        searcher, lambda: basis.evaluator(MeanSnrObjective()).delta()
+        searcher, lambda: _scorer(bases)
     )
     assert batched == reference and batched_evals == reference_evals
     # two full sweeps, each sounding every non-current state once
     assert batched[2] == 1 + 2 * sum(c - 1 for c in counts)
 
 
+#: Where the only improving element sits, per case: the first element of
+#: the third window (two elements, then four, then eight from element 0),
+#: the last element once the window has grown to its cap, or nowhere.
+WINDOW_CASES = ["doubled-window-start", "last-after-growth", "no-accept"]
+
+
+@pytest.mark.parametrize("num_links", [1, 2, 8])
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_window_edges_match_per_element_greedy(case, num_links):
+    cap = _window_cap(num_links)
+    num_elements = 2 * 2 + 4 + 8 + 2 * cap + 3
+    counts = list(_mixed_counts(num_elements, seed=num_links))
+    counts[-1] = 2
+    improving = {"doubled-window-start": (6,), "last-after-growth": (num_elements - 1,),
+                 "no-accept": ()}[case]
+    bases = _local_optimum(counts, num_links, improving)
+    agg = joint_aggregate("mean")
+    searcher = GreedyCoordinateDescent(max_sweeps=4, restarts=2, seed=3)
+    (batched, batched_evals), (reference, reference_evals) = _run_both(
+        searcher, lambda: _scorer(bases, aggregate=agg)
+    )
+    assert batched == reference and batched_evals == reference_evals
+
+    scorer = _scorer(bases, aggregate=agg)
+    windows = _spy_windows(scorer)
+    found = scorer.first_improvement(0)
+    assert found == (improving[0], 1) if improving else found is None
+    widths = [hi - lo for lo, hi in windows]
+    assert [lo for lo, _ in windows] == [sum(widths[:i]) for i in range(len(widths))]
+    grown = [min(2 ** (i + 1), cap) for i in range(len(widths))]
+    assert widths[:-1] == grown[:-1] and widths[-1] <= grown[-1]
+    if case == "doubled-window-start":
+        assert windows == [(0, 2), (2, 6), (6, 14)]
+    else:
+        assert windows[-1][1] == num_elements and max(widths) == cap
+
+
+def test_one_kernel_call_per_accepted_move():
+    """Every element improves in turn: each accept costs one scan call,
+    which scores the adopted configuration too, and no other re-score."""
+    counts = _mixed_counts(40, seed=11)
+    bases = _local_optimum(counts, 1, improving=range(len(counts)))
+    scorer = _scorer(bases)
+    windows = _spy_windows(scorer)
+    rescored = []
+    link_scores = scorer._link_scores
+    scorer._link_scores = lambda sums: rescored.append(sums) or link_scores(sums)
+    GreedyCoordinateDescent(max_sweeps=1).search_scorer(scorer)
+    assert rescored == []
+    assert windows == [(0, 2)] + [(e, e + 2) for e in range(1, 39)] + [(39, 40), (40, 40)]
+
+
+READERS = [
+    "score", "per_link_scores", "commit", "revert", "flip", "flip_many",
+    "set_configuration", "first_improvement",
+]
+
+
+def _read(scorer, reader):
+    """What ``reader`` reports on ``scorer``, then the committed score."""
+    if reader == "score":
+        value = scorer.score
+    elif reader == "per_link_scores":
+        value = scorer.per_link_scores().tobytes()
+    elif reader == "commit":
+        value = scorer.commit()
+    elif reader == "revert":
+        scorer.flip(0, 1)
+        value = scorer.revert()
+    elif reader == "flip":
+        value = scorer.flip(1, 1)
+    elif reader == "flip_many":
+        value = scorer.flip_many([0, 3], [1, 1])
+    elif reader == "set_configuration":
+        value = scorer.set_configuration(ArrayConfiguration((1,) * len(scorer.space.state_counts)))
+    else:
+        value = scorer.first_improvement(0)
+    return value, scorer.revert()
+
+
+@pytest.mark.parametrize("num_links", [1, 2, 8])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_sees_an_eager_rescore_after_adopt(reader, num_links):
+    """Three adopts with ``resync_interval=3``: the last crosses a resync."""
+    counts = _mixed_counts(12, seed=5)
+    bases = _random_bases(counts, num_links, seed=6)
+    agg = joint_aggregate("mean")
+    deferred = _scorer(bases, aggregate=agg, resync_interval=3)
+    eager = _scorer(bases, aggregate=agg, resync_interval=3)
+    for element, state in [(2, 1), (5, 1), (7, 1)]:
+        deferred.adopt(element, state)
+        eager.flip(element, state)  # the arithmetic adopt re-scored with
+        eager.commit()
+    assert deferred._flips_since_resync == 0  # the last adopt resynced
+    assert _read(deferred, reader) == _read(eager, reader)
+
+
 def test_first_improvement_charges_only_through_the_returned_element():
-    counts = (4,) * (2 * _SCAN_CHUNK)
+    counts = (4,) * 16
     scorer = _scorer(_random_bases(counts, 1, seed=0))
     twin = _scorer(_random_bases(counts, 1, seed=0))
-    found = scorer.first_improvement(0, scorer.score)
+    found = scorer.first_improvement(0)
     assert found is not None
     for element in range(found[0] + 1):
         twin.scores_for_element(element)
     assert scorer.num_scores == twin.num_scores
     assert scorer.trajectory == twin.trajectory
-    assert scorer.first_improvement(len(counts), -math.inf) is None
+    assert scorer.first_improvement(len(counts)) is None
 
 
 BAD_MOVES = [
@@ -255,6 +390,9 @@ def test_delta_route_validates_moves(elements, states, error):
     before = (scorer.configuration, scorer.score, scorer.num_scores)
     with pytest.raises(error):
         scorer.flip_many(elements, states)
+    if len(elements) == 1:
+        with pytest.raises(error):
+            scorer.adopt(elements[0], states[0])
     assert (scorer.configuration, scorer.score, scorer.num_scores) == before
 
 
@@ -266,3 +404,17 @@ def test_both_routes_reject_scans_of_missing_elements(element):
     assert measured == []
     with pytest.raises(IndexError):
         _scorer(_random_bases((2, 2, 4), 1, seed=0)).scores_for_element(element)
+
+
+@pytest.mark.parametrize("start", [-12, -1, 4, 21])
+def test_both_routes_reject_scan_starts_outside_the_array(start):
+    """A start outside ``[0, N]`` raises before anything is charged."""
+    scorer, measured = _counting_route()
+    with pytest.raises(IndexError):
+        scorer.first_improvement(start)
+    assert measured == [] and scorer.num_scores == 0
+    delta = _scorer(_random_bases((2, 2, 4), 1, seed=0))
+    before = (delta.num_scores, list(delta.trajectory))
+    with pytest.raises(IndexError):
+        delta.first_improvement(start)
+    assert (delta.num_scores, list(delta.trajectory)) == before
