@@ -10,6 +10,13 @@ sounding count and a sha256 of the trajectory's float64 bytes.  The
 values were recorded before greedy's scan deferred the accept step's
 re-score and grew its scan window; any change to the scan, accept or
 bookkeeping arithmetic shows up here as a different bit.
+
+The RFocus goldens pin the same four values for the searches the
+benchmark routes to RFocus: ``search-single``'s N = 1024 scene,
+``serve-mixed``'s N = 256 search scene, and ``serve-mixed``'s two-link
+joint on the N = 64 scene under the ``mean`` aggregate.  They were
+recorded while RFocus still scored its perturbations one probe at a
+time, so batching a round's probes must leave every bit in place.
 """
 
 import hashlib
@@ -95,6 +102,88 @@ JOINT_GOLDEN = {
 }
 
 
+#: (placement, N, searcher seed) -> (winner digits sha256, score hex,
+#: soundings, trajectory sha256) of an RFocus search from all-zeros.
+RFOCUS_SINGLE_GOLDEN = {
+    (0, 1024, 1): (
+        '35ae5091b37e8f0f306833ef57a635f9dc06738d7f4e563a610eec2adb26fe28',
+        '0x1.18ad132d39ddap+5',
+        51,
+        '0890b0e9bd24980f34d36b12234ca7e07f3d50aaa3d007a51be5d81f40ff84d8',
+    ),
+    (0, 1024, 2): (
+        '9ed9bf032254178ab6415af571c9fbebaa24b03cafdee48520ceb6c8d3c2a588',
+        '0x1.1bd30c3ac9cccp+5',
+        76,
+        'b5c790eeef40f02a7e0f3621e1e6ee645f6963be7689438675f4a26132c86106',
+    ),
+    (0, 1024, 3): (
+        '5dee846eaa6acdbd385f9eda43df73989b89cd039fd088a4afbf90b4ce1718da',
+        '0x1.218266a64f8bfp+5',
+        101,
+        'fb8c13ccadfb264ba5f7c3721359baec257e01a53d702815ec0c2cbe2f206bbb',
+    ),
+    (0, 1024, 4): (
+        '35ae5091b37e8f0f306833ef57a635f9dc06738d7f4e563a610eec2adb26fe28',
+        '0x1.18ad132d39ddap+5',
+        51,
+        'b36cc8273e99d0947064cd662e5c7f05a96dd9387361d7da6e8ae7dddf565083',
+    ),
+    (4, 256, 1): (
+        '7759fa1bdd8143e0e5d68cc542d652c7b315494bdc677cbd5bc4d9c6515cd965',
+        '0x1.1627f21ddf288p+5',
+        76,
+        '8e66428618152d94565a91c2ae9e6f6e46cafdd97d56ecc702d4bde2b3d7fc9e',
+    ),
+    (4, 256, 2): (
+        '70e929ccf9ab713cd4a10575cd21f25003e0466e53fba3d5a8432a2ff845e325',
+        '0x1.1dc708104894ap+5',
+        101,
+        '418075ccfa76c0ec5f7563cdb4bd591f5e47c85656b540b9492f164d36ea45ec',
+    ),
+    (4, 256, 3): (
+        '3ea2f7709371febc9a78c10d485255d0b966c1ed99033cd549ea157197f3967d',
+        '0x1.1aa94d6368587p+5',
+        76,
+        '9cce9160097b59364bd7dad5b289b62303d0887bde5b8ccf69f196c0dae50eb3',
+    ),
+    (4, 256, 4): (
+        'e647dd8f966e0107faabc18798debdc2e0f7d148a617bbdc4151286bc134f05f',
+        '0x1.191cf448535d9p+5',
+        101,
+        'ba974225681448f19aa45193fa2ba037672aad07720abd0ff782abe9641a19aa',
+    ),
+}
+
+#: seed (of the link offsets and the searcher) -> (winner digits sha256,
+#: aggregate score hex, soundings, trajectory sha256) of a two-link RFocus joint.
+RFOCUS_JOINT_GOLDEN = {
+    1: (
+        '1bee5cfee3de307b76d3530b14ccf8bdb0bda95e38d34bf093082504676173b6',
+        '0x1.03dc8caac5d69p+6',
+        101,
+        '42bd130a8f00ffdb11864087fe2c97eaa5a3ef5bed1cd955d4e63e9df6ca641b',
+    ),
+    2: (
+        '55e66244fc6b0e25aa1681cffcfe97edacba2d4548691556e69d5efaeb25116a',
+        '0x1.956f22acb7c58p+5',
+        101,
+        'd6fc4ea5cb98090c940c88cb2eb5599ae0b6ff1e199d330a30cc8a26d3edc973',
+    ),
+    3: (
+        '34531f0492bc419a33ee8452a5152697d75be8045d1366f6df5cf1e16feb8623',
+        '0x1.55c29689761d0p+5',
+        101,
+        '7d42f43758fee57dc0a353dccc0cc4459a11e8f2868086951e6064a7a5c55d78',
+    ),
+    4: (
+        'b772de101372bafe0c68854fb525f257bc27ed1ed50487f4e2eaefbdda103fbc',
+        '0x1.503435390761cp+5',
+        76,
+        '17663d8a24aa9bf30387a390b7a9743c3f9d85bac3d9b31d24556596a92966b2',
+    ),
+}
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -151,3 +240,51 @@ def test_search_single_greedy_golden(placement, seed):
 @pytest.mark.parametrize("round_seed", sorted(JOINT_GOLDEN))
 def test_joint_moving_greedy_golden(round_seed):
     assert joint_outcome(round_seed) == JOINT_GOLDEN[round_seed]
+
+
+def rfocus_single_outcome(placement: int, num_elements: int, seed: int) -> tuple:
+    """An RFocus search as ``search_task`` runs it, on one wall scene."""
+    session = build_session(
+        ScenarioSpec(kind="large", placement=placement, num_elements=num_elements)
+    )
+    evaluator = session.basis.evaluator(
+        MeanSnrObjective(),
+        tx_power_dbm=session.tx_power_dbm,
+        noise_figure_db=session.noise_figure_db,
+        mask=session.mask,
+    )
+    return _outcome(make_searcher("rfocus", seed).search_scorer(evaluator.delta()))
+
+
+def rfocus_joint_outcome(seed: int) -> tuple:
+    """``serve-mixed``'s joint: two links within 1 m of the RX anchor, RFocus."""
+    session = build_session(ScenarioSpec(kind="large", placement=0, num_elements=64))
+    setup = session.setup
+    rx0 = setup.rx_device.position
+    offsets = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, 2))
+    points = [Point(rx0.x + dx, rx0.y + dy) for dx, dy in offsets]
+    bases = setup.testbed.bases_for_points(
+        setup.tx_device, points, setup.rx_device.chains[0].antenna
+    )
+    evaluators = [
+        basis.evaluator(
+            MeanSnrObjective(),
+            tx_power_dbm=session.tx_power_dbm,
+            noise_figure_db=session.noise_figure_db,
+            mask=session.mask,
+        )
+        for basis in bases
+    ]
+    scorer = DeltaEvaluator(evaluators, weights=(1.0, 1.0), aggregate=joint_aggregate("mean"))
+    return _outcome(make_searcher("rfocus", seed).search_scorer(scorer))
+
+
+@pytest.mark.parametrize("placement,num_elements,seed", sorted(RFOCUS_SINGLE_GOLDEN))
+def test_rfocus_search_golden(placement, num_elements, seed):
+    outcome = rfocus_single_outcome(placement, num_elements, seed)
+    assert outcome == RFOCUS_SINGLE_GOLDEN[placement, num_elements, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(RFOCUS_JOINT_GOLDEN))
+def test_rfocus_joint_golden(seed):
+    assert rfocus_joint_outcome(seed) == RFOCUS_JOINT_GOLDEN[seed]
