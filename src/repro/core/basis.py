@@ -80,6 +80,11 @@ _DELTA_EVALS = counter_handle("search.delta_evals")
 #: eight links.
 _SCAN_ROWS = 256
 
+#: Most bytes of the (rows, N, K) complex gather one chunk of
+#: :meth:`ChannelBasis.element_sums` holds: 4 rows of an N = 1024,
+#: 64-subcarrier basis, or 512 rows of an N = 8 one.
+_GATHER_BYTES = 4 << 20
+
 #: Largest configuration space the vectorized exhaustive path will
 #: materialize as an (M^N, N) index table.  4^10 = 2^20 rows of N intp
 #: columns is ~80 MB of indices plus an (M^N, K) complex sum matrix —
@@ -524,6 +529,14 @@ class ChannelBasis:
     def element_sums(self, indices: np.ndarray) -> np.ndarray:
         """Per-configuration element contributions for an index matrix.
 
+        One gather ``E[arange(N), indices]`` and one sum over its element
+        axis per chunk of rows; each chunk's ``(rows, N, K)`` gather stays
+        under :data:`_GATHER_BYTES`.  The sum runs over a non-inner axis,
+        so numpy adds the elements in order, 0 to N-1: a row's value does
+        not depend on the batch it is evaluated in, and every evaluation
+        route (:meth:`element_sum`, :meth:`evaluate`,
+        :attr:`all_element_sums`) gives the same bits for it.
+
         Parameters
         ----------
         indices:
@@ -535,9 +548,14 @@ class ChannelBasis:
             Complex array of shape ``(C, K)``.
         """
         indices = np.asarray(indices)
-        total = np.zeros((indices.shape[0], self.state_tensor.shape[2]), dtype=complex)
-        for n in range(self.num_elements):
-            total += self.state_tensor[n, indices[:, n], :]
+        num_elements, _, num_subcarriers = self.state_tensor.shape
+        total = np.empty((indices.shape[0], num_subcarriers), dtype=complex)
+        elements = np.arange(num_elements)
+        chunk = max(1, _GATHER_BYTES // (num_elements * num_subcarriers * 16))
+        for start in range(0, indices.shape[0], chunk):
+            stop = start + chunk
+            gathered = self.state_tensor[elements, indices[start:stop]]
+            np.sum(gathered, axis=1, out=total[start:stop])
         return total
 
     def configuration_indices(self, configurations: ConfigurationsLike) -> np.ndarray:
@@ -559,10 +577,7 @@ class ChannelBasis:
     def element_sum(self, configuration: ArrayConfiguration) -> np.ndarray:
         """``sum_n E[n, c_n]`` for a single configuration, shape ``(K,)``."""
         self.space.validate(configuration)
-        total = np.zeros(self.state_tensor.shape[2], dtype=complex)
-        for n, state_index in enumerate(configuration.indices):
-            total += self.state_tensor[n, state_index]
-        return total
+        return self.element_sums(np.array([configuration.indices], dtype=np.intp))[0]
 
     def cfr(
         self,
@@ -614,7 +629,7 @@ class ChannelBasis:
     ) -> "BasisEvaluator":
         """A basis-backed score function for the configuration searchers.
 
-        Each call costs one O(K) numpy gather + sum — zero re-tracing —
+        Each call costs one O(N·K) numpy gather + sum — zero re-tracing —
         so any :class:`~repro.core.search.Searcher` runs against it at
         numpy speed.
         """
@@ -760,6 +775,12 @@ class DeltaEvaluator:
     scored independently, so the deferred score has the bits an eager
     re-score would give.
 
+    :meth:`score_perturbations` is RFocus's round: P perturbations of the
+    working configuration, each summed as :meth:`flip_many` sums it and
+    all scored in one kernel call, with the working configuration left
+    unchanged.  Each score has the bits of a :meth:`flip_many` +
+    :meth:`revert` of its probe.
+
     Bookkeeping matches :class:`~repro.core.search.CountingScore`, the
     callback twin of this protocol: ``num_scores`` counts scored probes
     (the over-the-air measurement proxy; reverts are free) and
@@ -825,15 +846,24 @@ class DeltaEvaluator:
         # elementwise — so the mask is applied once to the tensors and the
         # ambient CFRs up front, not per probe.  Scores are elementwise
         # identical to masking after the fact.
-        tensors = [
-            np.ascontiguousarray(_masked(evaluator.basis.state_tensor, first.mask))
-            for evaluator in evaluators
-        ]
-        # T[n, m, l, k]; a single link is a view, not a copy.
-        if len(tensors) == 1:
-            self._tensor = tensors[0][:, :, None, :]
+        # T[n, m, l, k]; a single link is a view of its masked tensor, and
+        # each of several links is copied once, straight into its slice.
+        if len(evaluators) == 1:
+            masked = _masked(first.basis.state_tensor, first.mask)
+            self._tensor = np.ascontiguousarray(masked)[:, :, None, :]
         else:
-            self._tensor = np.stack(tensors, axis=2)
+            num_elements, max_states, num_subcarriers = first.basis.state_tensor.shape
+            kept = None if first.mask is None else np.flatnonzero(first.mask)
+            if kept is not None:
+                num_subcarriers = kept.size
+            self._tensor = np.empty(
+                (num_elements, max_states, len(evaluators), num_subcarriers), dtype=complex
+            )
+            for link, evaluator in enumerate(evaluators):
+                if kept is None:
+                    self._tensor[:, :, link] = evaluator.basis.state_tensor
+                else:
+                    np.take(evaluator.basis.state_tensor, kept, axis=-1, out=self._tensor[:, :, link])
         self._ambient = np.stack(
             [_masked(evaluator.basis.ambient_cfr(), first.mask) for evaluator in evaluators]
         )
@@ -912,9 +942,11 @@ class DeltaEvaluator:
         return self._links.copy()
 
     # -- internals ------------------------------------------------------
-    def _full_sum(self) -> np.ndarray:
-        rows = np.arange(self._space.num_elements)
-        return self._tensor[rows, self._indices].sum(axis=0)
+    def _full_sum(self, indices: Optional[np.ndarray] = None) -> np.ndarray:
+        """The running sums of ``indices`` (the working ones by default), from scratch."""
+        if indices is None:
+            indices = self._indices
+        return self._tensor[np.arange(self._space.num_elements), indices].sum(axis=0)
 
     def _objective_scores(self, cfr: np.ndarray, snr: np.ndarray) -> np.ndarray:
         """Each link's objective for CFRs of shape ``(..., L, K)``.
@@ -950,6 +982,16 @@ class DeltaEvaluator:
         if link_scores.size == 1:
             return float(link_scores[0])  # one link's mean is its own score
         return float(np.dot(self._weights, link_scores) / self._weight_total)
+
+    def _joint_rows(self, links: np.ndarray) -> list:
+        """:meth:`_joint_score` of every (L,) row of ``links``, as (nested) lists."""
+        if self._aggregate_rows is not None:
+            return self._aggregate_rows(links, self._weights).tolist()
+        if self._aggregate is None and links.shape[-1] == 1:
+            return links[..., 0].tolist()
+        rows = links.reshape(-1, links.shape[-1])
+        scores = np.array([self._joint_score(row) for row in rows])
+        return scores.reshape(links.shape[:-1]).tolist()
 
     def _rescore(self) -> float:
         self._links = self._link_scores(self._sum)
@@ -1045,6 +1087,51 @@ class DeltaEvaluator:
         value = self._rescore()
         self._record(value)
         return value
+
+    def score_perturbations(self, masks: np.ndarray, states: np.ndarray) -> list[float]:
+        """Score P perturbations of the working configuration, one sounding each.
+
+        Probe ``p`` moves every element ``n`` with ``masks[p, n]`` to
+        ``states[p, n]``, from the working configuration rather than from
+        the probe before it; ``masks`` and ``states`` have shape (P, N).
+        The scores are in probe order, and the working configuration is
+        left as it was.  Every masked state is checked in one comparison,
+        so a state out of range raises ``ValueError`` before any probe is
+        charged.
+
+        This is RFocus's round: each probe's running sum is built as
+        :meth:`flip_many` builds it, from the moved elements' differences
+        ``(T[idx, s] - T[idx, cur]).sum(axis=0)`` added to the working
+        sum, and the flip counter advances probe by probe as those flips
+        would advance it; a probe that reaches ``resync_interval`` is
+        summed from scratch over its own configuration instead, and the
+        counter restarts.  All P sums are then scored in one kernel call,
+        so each score has the bits a :meth:`flip_many` + :meth:`revert`
+        of the probe gives from a committed working configuration.
+        """
+        masks, states = self._space.check_perturbations(masks, states)
+        self._settle()
+        changed = masks & (states != self._indices)
+        sums = np.empty((masks.shape[0],) + self._sum.shape, dtype=complex)
+        for probe, moving in enumerate(changed):
+            moved = np.flatnonzero(moving)
+            if not moved.size:
+                sums[probe] = self._sum
+                continue
+            self._flips_since_resync += moved.size
+            if self._flips_since_resync >= self._resync_interval:
+                self._flips_since_resync = 0
+                indices = np.where(moving, states[probe], self._indices)
+                sums[probe] = self._full_sum(indices)
+                continue
+            step = (
+                self._tensor[moved, states[probe, moved]]
+                - self._tensor[moved, self._indices[moved]]
+            ).sum(axis=0)
+            np.add(self._sum, step, out=sums[probe])
+        values = self._joint_rows(self._link_scores(sums))
+        self._record_many(values)
+        return values
 
     def set_configuration(self, configuration: ArrayConfiguration) -> float:
         """Jump to an arbitrary configuration (full O(N*K·L) recompute)."""
@@ -1157,12 +1244,9 @@ class DeltaEvaluator:
             self._settle_with(links[candidates])
         threshold = self._committed_score
         links = links[:candidates].reshape(count, max_states, num_links)
-        if self._aggregate_rows is not None:
-            table = self._aggregate_rows(links, self._weights).tolist()
-        elif self._aggregate is None and num_links == 1:
-            table = links[..., 0].tolist()
-        else:
-            table = None  # aggregated row by row, up to the first accept
+        table = None  # aggregated row by row, up to the first accept
+        if self._aggregate_rows is not None or (self._aggregate is None and num_links == 1):
+            table = self._joint_rows(links)
         state_counts = self._space.state_counts[lo:hi]
         charged: list[float] = []
         move = None

@@ -135,6 +135,36 @@ class ConfigurationSpace:
             raise ValueError(f"elements must be distinct, got {element_idx.tolist()}")
         return element_idx, state_idx
 
+    def check_perturbations(
+        self, masks: np.ndarray, states: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate a batch of perturbations; return them as (P, N) arrays.
+
+        Perturbation ``p`` moves every element ``n`` with ``masks[p, n]``
+        to ``states[p, n]``.  Both arrays must have shape (P, N) and every
+        masked state must be in range for its element (``ValueError``
+        otherwise); unmasked states are ignored.  As in
+        :meth:`check_moves`, one unsigned comparison checks both ends of
+        every state's range.
+        """
+        mask_array = np.asarray(masks, dtype=bool)
+        state_array = np.asarray(states, dtype=np.intp)
+        if mask_array.ndim != 2 or mask_array.shape[1] != self.num_elements or (
+            state_array.shape != mask_array.shape
+        ):
+            raise ValueError(
+                f"masks and states must both have shape (P, {self.num_elements}), "
+                f"got {mask_array.shape} and {state_array.shape}"
+            )
+        invalid = mask_array & (state_array.view(np.uintp) >= self._state_count_array)
+        if invalid.any():
+            probe, element = (int(i) for i in np.argwhere(invalid)[0])
+            raise ValueError(
+                f"state {int(state_array[probe, element])} out of range for element "
+                f"{element} ({self.state_counts[element]} states) in perturbation {probe}"
+            )
+        return mask_array, state_array
+
     def all_configurations(self) -> Iterator[ArrayConfiguration]:
         """Enumerate every configuration (lexicographic order).
 

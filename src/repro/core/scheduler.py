@@ -110,11 +110,13 @@ def pick_searcher(
     * budget >= one coordinate-descent sweep -> greedy coordinate descent;
     * budget >= 1 -> random sampling of whatever budget remains — except
       on RFocus-scale spaces (> :data:`~repro.core.basis.MAX_ENUMERABLE_CONFIGS`
-      configurations), where :class:`RFocusMajoritySearch` sized to the
-      budget replaces blind random sampling: its per-element majority
-      voting extracts N per-element decisions from each whole-array
-      sounding, the only strategy that makes progress when even one
-      coordinate-descent sweep exceeds the budget;
+      configurations) with a budget of at least one round (4 soundings:
+      the start, two perturbations and the voted candidate), where
+      :class:`RFocusMajoritySearch` sized to the budget replaces blind
+      random sampling: its per-element vote extracts N per-element
+      decisions from each whole-array sounding, the only strategy that
+      makes progress when even one coordinate-descent sweep exceeds the
+      budget;
     * budget <= 0 -> keep-current single probe (:class:`SingleProbeSearch`).
 
     The degenerate last case is not an error: ``measurement_budget``
@@ -135,13 +137,15 @@ def pick_searcher(
     if budget >= sweep_cost:
         max_sweeps = max(1, budget // max(sweep_cost, 1))
         return GreedyCoordinateDescent(max_sweeps=min(max_sweeps, 4), seed=seed)
-    if space.size > MAX_ENUMERABLE_CONFIGS:
+    if space.size > MAX_ENUMERABLE_CONFIGS and budget >= 4:
         # Budget below one greedy sweep on a space too large to enumerate:
-        # spend it on majority-voted whole-array perturbations.  Each round
-        # costs perturbations + 1 soundings (the +1 scores the voted
-        # candidate).
-        perturbations = max(2, min(budget - 1, 24))
-        rounds = max(1, budget // (perturbations + 1))
+        # spend it on majority-voted whole-array perturbations.  The start
+        # configuration costs one sounding and each round perturbations + 1
+        # (the +1 scores the voted candidate), so the smallest round of two
+        # perturbations needs a budget of 4; below that, random sampling
+        # is what fits.
+        perturbations = min(budget - 2, 24)
+        rounds = (budget - 1) // (perturbations + 1)
         return RFocusMajoritySearch(
             rounds=rounds, perturbations=perturbations, seed=seed
         )

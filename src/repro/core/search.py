@@ -91,6 +91,17 @@ class Scorer(Protocol):
     first kernel call, and several elements per call; the callback
     scorer measures one element at a time, so it never sounds past the
     element it returns, and reads adopted scores from its memo.
+
+    :meth:`score_perturbations` is RFocus's round.  It takes (P, N)
+    ``masks`` and ``states`` and scores P perturbations of the working
+    configuration in order, one sounding each: probe ``p`` moves every
+    masked element to its state in ``states[p]``.  The working
+    configuration is left unchanged, and each score equals what a
+    :meth:`flip_many` of the probe's moves followed by a :meth:`revert`
+    would give from a committed working configuration.  The delta scorer
+    scores all P probes in one kernel call; the callback scorer measures
+    them one by one through its memo.  A masked state out of range raises
+    ``ValueError`` before anything is charged.
     """
 
     num_scores: int
@@ -105,6 +116,8 @@ class Scorer(Protocol):
     def set_configuration(self, configuration: ArrayConfiguration) -> float: ...
 
     def flip_many(self, elements: Sequence[int], states: Sequence[int]) -> float: ...
+
+    def score_perturbations(self, masks: np.ndarray, states: np.ndarray) -> list[float]: ...
 
     def first_improvement(self, start: int) -> Optional[tuple[int, int]]: ...
 
@@ -167,6 +180,16 @@ class CountingScore:
         element_idx, state_idx = self.space.check_moves(elements, states)
         self._indices[element_idx] = state_idx
         return self.score
+
+    def score_perturbations(self, masks: np.ndarray, states: np.ndarray) -> list[float]:
+        masks, states = self.space.check_perturbations(masks, states)
+        held = self._indices
+        values = []
+        for mask, probe_states in zip(masks, states):
+            self._indices = np.where(mask, probe_states, held)
+            values.append(self.score)
+        self._indices = held
+        return values
 
     def scores_for_element(self, element: int) -> np.ndarray:
         if not 0 <= element < self.space.num_elements:
@@ -431,21 +454,27 @@ class GreedyCoordinateDescent(Searcher):
 
 @dataclass(frozen=True)
 class RFocusMajoritySearch(Searcher):
-    """Randomized perturbation + per-element majority voting (RFocus).
+    """Randomized perturbation + a per-element vote (RFocus).
 
     The search RFocus (arXiv:1905.05130) runs on ~3,000-element surfaces:
     each round draws random multi-element perturbations of the current
     configuration, scores each whole perturbation with a single sounding,
     and then each element "votes" — it moves to the state whose probes
-    averaged the highest score.  No per-element measurement is ever taken,
-    so a round costs ``perturbations`` soundings regardless of N, and the
-    per-element statistics converge because every element's states are
-    (randomly) exercised across the batch.
+    averaged the highest score.  The estimator is therefore the argmax of
+    each element's mean probe score per state, not the majority count of
+    wins RFocus names; the class keeps its name until the two estimators
+    have been compared.  No per-element measurement
+    is ever taken, so a round costs ``perturbations`` soundings regardless
+    of N, and the per-element statistics converge because every element's
+    states are (randomly) exercised across the batch.
 
     The body is written once, against the :class:`Scorer` protocol, so it
     runs on a channel basis (delta-scored, via :meth:`Searcher.search_basis`)
     and on measured whole configurations (via :meth:`Searcher.search`)
-    alike.  The candidate configuration produced by a vote is adopted only
+    alike.  A round's probes are scored with one
+    :meth:`~Scorer.score_perturbations` call — one kernel call on the
+    delta scorer — and the voted configuration with one
+    :meth:`~Scorer.flip_many`.  The candidate configuration produced by a vote is adopted only
     if it actually improves the committed score, otherwise the round is
     rolled back and ``patience`` counts down to early exit; a vote that
     changes no element costs no sounding and also counts down.
@@ -492,7 +521,10 @@ class RFocusMajoritySearch(Searcher):
         Starts from the scorer's working configuration (all-zeros as built
         by :meth:`Searcher.search` and :meth:`Searcher.search_basis`).  A
         round costs ``perturbations`` soundings, plus one for the voted
-        configuration unless the vote changes no element.
+        configuration unless the vote changes no element.  The RNG is
+        drawn per probe, ``rng.random(N)`` then ``rng.integers(0,
+        state_counts)``, so a seed gives the same probes however they are
+        scored.
         """
         rng = np.random.default_rng(self.seed)
         num_elements = space.num_elements
@@ -502,21 +534,27 @@ class RFocusMajoritySearch(Searcher):
         current = np.array(score.configuration.indices, dtype=np.intp)
         stale = 0
         rows = np.arange(num_elements)
+        masks = np.empty((self.perturbations, num_elements), dtype=bool)
+        states = np.empty((self.perturbations, num_elements), dtype=np.intp)
+        cells = rows * max_states  # element n in state m is cell n*M + m
         for _ in range(self.rounds):
             _ROUNDS.inc()
-            score_sums = np.zeros((num_elements, max_states))
-            probe_counts = np.zeros((num_elements, max_states))
-            for _ in range(self.perturbations):
-                mask = rng.random(num_elements) < self.flip_fraction
-                random_states = rng.integers(0, state_counts)
-                probe = np.where(mask, random_states, current)
-                value = score.flip_many(rows[mask], random_states[mask])
-                score_sums[rows, probe] += value
-                probe_counts[rows, probe] += 1.0
-                score.revert()
-            # Majority vote: each element independently adopts the state
-            # whose probes scored best on average (unsampled states and
-            # index padding past an element's state count never win).
+            for probe in range(self.perturbations):
+                masks[probe] = rng.random(num_elements) < self.flip_fraction
+                states[probe] = rng.integers(0, state_counts)
+            values = score.score_perturbations(masks, states)
+            # Per (element, state) cell, the sum and count of the scores of
+            # the probes that held it.  bincount adds in input order from
+            # 0.0, and the input is probe-major, so each cell's sum is the
+            # same left-to-right sum of its probes' scores.
+            probe_cells = (np.where(masks, states, current) + cells).ravel()
+            weights = np.repeat(np.asarray(values), num_elements)
+            size = num_elements * max_states
+            score_sums = np.bincount(probe_cells, weights, size).reshape(num_elements, max_states)
+            probe_counts = np.bincount(probe_cells, None, size).reshape(num_elements, max_states)
+            # The vote: each element independently adopts the state whose
+            # probes scored best on average (unsampled states and index
+            # padding past an element's state count never win).
             sampled = probe_counts > 0
             means = np.full((num_elements, max_states), -math.inf)
             means[sampled] = score_sums[sampled] / probe_counts[sampled]

@@ -1,0 +1,219 @@
+"""Batched scoring must give the bits of the one-at-a-time route.
+
+``ChannelBasis.element_sums`` evaluates a batch with one gather and one
+in-order sum per chunk of rows, and ``Scorer.score_perturbations`` scores
+an RFocus round's probes in one call.  Both replaced per-item loops, so
+these tests keep the loops as references and compare with ``==``: the
+gather against the element-by-element ``+=``, and the batched probes
+against a ``flip_many`` + ``revert`` per probe, on both scorers.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    ArrayConfiguration,
+    DeltaEvaluator,
+    EffectiveSnrObjective,
+    MeanSnrObjective,
+    joint_aggregate,
+)
+from repro.core import basis as basis_module
+from repro.core.basis import ChannelBasis
+from repro.core.configuration import ConfigurationSpace
+from repro.core.search import CountingScore
+from repro.em.channel import subcarrier_frequencies
+
+NUM_SUBCARRIERS = 16
+#: Mixed 2- and 4-state elements, so the state tensor is zero-padded.
+RAGGED = (4, 2, 4, 4, 2, 2, 4, 2, 4, 4, 2, 4, 4, 2, 4, 4, 2, 4, 2, 4, 4, 4, 2, 4)
+
+
+def _basis(state_counts, seed: int) -> ChannelBasis:
+    rng = np.random.default_rng(seed)
+    num_elements = len(state_counts)
+    shape = (num_elements, max(state_counts), NUM_SUBCARRIERS)
+    tensor = 1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for n, count in enumerate(state_counts):
+        tensor[n, count:] = 0.0
+    return ChannelBasis(
+        space=ConfigurationSpace(state_counts=tuple(state_counts)),
+        frequencies_hz=subcarrier_frequencies(NUM_SUBCARRIERS, 20e6),
+        ambient_gains=1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3)),
+        ambient_delays=rng.uniform(0.0, 2e-7, size=3),
+        state_tensor=tensor,
+        num_subcarriers=NUM_SUBCARRIERS,
+        bandwidth_hz=20e6,
+    )
+
+
+def _random_rows(space, count: int, rng) -> np.ndarray:
+    return np.stack([rng.integers(0, space.state_counts) for _ in range(count)])
+
+
+def _reference_sums(basis, indices) -> np.ndarray:
+    """The element-by-element loop ``element_sums`` replaced."""
+    total = np.zeros((indices.shape[0], basis.state_tensor.shape[2]), dtype=complex)
+    for n in range(basis.num_elements):
+        total += basis.state_tensor[n, indices[:, n], :]
+    return total
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+# -- element_sums -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gather_bytes", [basis_module._GATHER_BYTES, 3000])
+def test_element_sums_match_the_loop(monkeypatch, gather_bytes):
+    """Bit for bit, ragged state counts, in one chunk and across many."""
+    monkeypatch.setattr(basis_module, "_GATHER_BYTES", gather_bytes)
+    basis = _basis(RAGGED, seed=1)
+    rng = np.random.default_rng(2)
+    for count in (1, 2, 5, 37):
+        indices = _random_rows(basis.space, count, rng)
+        assert np.array_equal(
+            _bits(basis.element_sums(indices)), _bits(_reference_sums(basis, indices))
+        )
+
+
+def test_a_row_alone_equals_the_row_in_a_batch(monkeypatch):
+    monkeypatch.setattr(basis_module, "_GATHER_BYTES", 3000)
+    basis = _basis(RAGGED, seed=3)
+    indices = _random_rows(basis.space, 23, np.random.default_rng(4))
+    batch = basis.element_sums(indices)
+    cfrs = basis.evaluate(indices)
+    evaluator = basis.evaluator(MeanSnrObjective())
+    for row, configuration in enumerate(indices):
+        alone = basis.element_sums(configuration[None])[0]
+        assert np.array_equal(_bits(alone), _bits(batch[row]))
+        config = ArrayConfiguration(tuple(int(i) for i in configuration))
+        assert np.array_equal(_bits(basis.element_sum(config)), _bits(batch[row]))
+        assert np.array_equal(_bits(basis.cfr(config)), _bits(cfrs[row]))
+        assert evaluator(config) == MeanSnrObjective()(evaluator._snr_db(cfrs[row]))
+
+
+def test_all_element_sums_match_the_loop():
+    basis = _basis((4, 2, 4, 3, 2), seed=5)
+    everything = basis.all_configuration_indices
+    assert np.array_equal(
+        _bits(basis.all_element_sums), _bits(_reference_sums(basis, everything))
+    )
+
+
+# -- score_perturbations --------------------------------------------------------
+
+
+def _perturbations(space, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """RFocus-style probes, plus one that moves nothing and one that holds."""
+    masks = rng.random((count, space.num_elements)) < 0.5
+    states = _random_rows(space, count, rng)
+    masks[1] = False  # moves no element
+    states[2] = 0
+    return masks, states
+
+
+def _loop_scores(scorer, masks, states) -> list:
+    """The per-probe route ``score_perturbations`` replaced."""
+    rows = np.arange(masks.shape[1])
+    values = []
+    for mask, probe_states in zip(masks, states):
+        values.append(scorer.flip_many(rows[mask], probe_states[mask]))
+        scorer.revert()
+    return values
+
+
+def _delta_pair(num_links: int, aggregate, resync_interval: int, objective):
+    def build():
+        evaluators = [
+            _basis(RAGGED, seed=10 + link).evaluator(
+                objective, mask=np.arange(NUM_SUBCARRIERS) % 5 != 0
+            )
+            for link in range(num_links)
+        ]
+        return DeltaEvaluator(
+            evaluators,
+            aggregate=aggregate,
+            resync_interval=resync_interval,
+            initial=evaluators[0].basis.space.random_configuration(np.random.default_rng(6)),
+        )
+
+    return build(), build()
+
+
+CASES = [
+    (1, None),
+    (2, "mean"),
+    (2, "worst"),
+    (2, "lexicographic"),
+    (8, "mean"),
+    (8, "worst"),
+    (8, "lexicographic"),
+]
+
+
+@pytest.mark.parametrize("num_links,aggregate", CASES)
+@pytest.mark.parametrize("resync_interval", [4096, 23, 7])
+@pytest.mark.parametrize("objective", [MeanSnrObjective(), EffectiveSnrObjective()])
+def test_score_perturbations_match_flip_and_revert(num_links, aggregate, resync_interval, objective):
+    """Scores, soundings, trajectory and the flip counter match the loop."""
+    aggregate = None if aggregate is None else joint_aggregate(aggregate)
+    batched, looped = _delta_pair(num_links, aggregate, resync_interval, objective)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        masks, states = _perturbations(batched.space, 9, rng)
+        before = batched.configuration, batched.score
+        assert batched.score_perturbations(masks, states) == _loop_scores(looped, masks, states)
+        assert (batched.configuration, batched.score) == before
+        assert batched.num_scores == looped.num_scores
+        assert batched.trajectory == looped.trajectory
+        # The flip counter advanced alike, so later flips resync alike.
+        element = int(rng.integers(0, batched.space.num_elements))
+        assert batched.flip(element, 1) == looped.flip(element, 1)
+        batched.commit()
+        looped.commit()
+
+
+@pytest.mark.parametrize("scorer_kind", ["delta", "counting"])
+def test_out_of_range_states_raise_before_anything_is_charged(scorer_kind):
+    basis = _basis(RAGGED, seed=8)
+    evaluator = basis.evaluator(MeanSnrObjective())
+    if scorer_kind == "delta":
+        scorer = evaluator.delta(resync_interval=7)
+    else:
+        scorer = CountingScore(evaluator, basis.space)
+        scorer.commit()
+    masks, states = _perturbations(basis.space, 4, np.random.default_rng(9))
+    two_state = RAGGED.index(2)
+    masks[3, two_state] = True
+    charged = scorer.num_scores, list(scorer.trajectory), getattr(scorer, "_flips_since_resync", 0)
+    for bad in (2, -1):
+        states[3, two_state] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            scorer.score_perturbations(masks, states)
+        assert (scorer.num_scores, scorer.trajectory, getattr(scorer, "_flips_since_resync", 0)) == charged
+    # An unmasked state is never read, so it is never checked.
+    masks[3, two_state] = False
+    scorer.score_perturbations(masks, states)
+    with pytest.raises(ValueError, match="shape"):
+        scorer.score_perturbations(masks[:, :-1], states[:, :-1])
+
+
+def test_counting_score_memo_matches_flip_and_revert():
+    """The callback scorer measures each distinct probe once, as the loop does."""
+    basis = _basis(RAGGED, seed=11)
+    evaluator = basis.evaluator(MeanSnrObjective())
+    batched = CountingScore(evaluator, basis.space)
+    looped = CountingScore(evaluator, basis.space)
+    batched.commit()
+    looped.commit()
+    rng = np.random.default_rng(12)
+    masks, states = _perturbations(basis.space, 12, rng)
+    masks[5], states[5] = masks[4], states[4]  # a repeat is a memo hit
+    for _ in range(2):
+        assert batched.score_perturbations(masks, states) == _loop_scores(looped, masks, states)
+        assert batched.num_scores == looped.num_scores
+        assert batched.trajectory == looped.trajectory
+        assert batched.configuration == looped.configuration

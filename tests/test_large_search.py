@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.core.basis import MAX_ENUMERABLE_CONFIGS, ChannelBasis
 from repro.core.configuration import ConfigurationSpace
+from repro.em.channel import subcarrier_frequencies
 from repro.experiments import (
     build_large_array_setup,
     build_nlos_setup,
@@ -93,8 +94,44 @@ def test_pick_searcher_routes_large_spaces_to_rfocus():
     searcher = pick_searcher(space, budget=100, seed=3)
     assert isinstance(searcher, RFocusMajoritySearch)
     assert searcher.seed == 3
-    # spent budget stays within what was granted
-    assert searcher.rounds * (searcher.perturbations + 1) <= 100
+    # spent budget stays within what was granted: the start configuration's
+    # sounding plus perturbations + 1 per round
+    assert 1 + searcher.rounds * (searcher.perturbations + 1) <= 100
+
+
+def _synthetic_basis(num_elements: int, num_states: int = 4, seed: int = 0) -> ChannelBasis:
+    """A random basis over a small subcarrier grid: cheap to search at any N."""
+    num_subcarriers = 4
+    rng = np.random.default_rng(seed)
+    shape = (num_elements, num_states, num_subcarriers)
+    tensor = 1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return ChannelBasis(
+        space=ConfigurationSpace(state_counts=(num_states,) * num_elements),
+        frequencies_hz=subcarrier_frequencies(num_subcarriers, 20e6),
+        ambient_gains=np.array([1e-3 + 0j]),
+        ambient_delays=np.array([0.0]),
+        state_tensor=tensor,
+        num_subcarriers=num_subcarriers,
+        bandwidth_hz=20e6,
+    )
+
+
+@pytest.mark.parametrize(
+    "num_elements",
+    [
+        3,  # enumerable: exhaustive from a budget of 64
+        8,  # greedy-reachable: one sweep is 25 soundings
+        256,  # RFocus-scale
+        1024,
+    ],
+)
+def test_pick_searcher_never_overspends(num_elements):
+    """Every budget from 1 to 300 buys a search that spends no more than it."""
+    basis = _synthetic_basis(num_elements)
+    for budget in range(1, 301):
+        searcher = pick_searcher(basis.space, budget, seed=3)
+        result = searcher.search_basis(basis, MeanSnrObjective())
+        assert result.num_evaluations <= budget, (budget, searcher)
 
 
 @pytest.mark.parametrize(
