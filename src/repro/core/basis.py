@@ -853,17 +853,12 @@ class DeltaEvaluator:
             self._tensor = np.ascontiguousarray(masked)[:, :, None, :]
         else:
             num_elements, max_states, num_subcarriers = first.basis.state_tensor.shape
-            kept = None if first.mask is None else np.flatnonzero(first.mask)
-            if kept is not None:
-                num_subcarriers = kept.size
+            kept = np.arange(num_subcarriers) if first.mask is None else np.flatnonzero(first.mask)
             self._tensor = np.empty(
-                (num_elements, max_states, len(evaluators), num_subcarriers), dtype=complex
+                (num_elements, max_states, len(evaluators), kept.size), dtype=complex
             )
             for link, evaluator in enumerate(evaluators):
-                if kept is None:
-                    self._tensor[:, :, link] = evaluator.basis.state_tensor
-                else:
-                    np.take(evaluator.basis.state_tensor, kept, axis=-1, out=self._tensor[:, :, link])
+                np.take(evaluator.basis.state_tensor, kept, axis=-1, out=self._tensor[:, :, link])
         self._ambient = np.stack(
             [_masked(evaluator.basis.ambient_cfr(), first.mask) for evaluator in evaluators]
         )

@@ -463,10 +463,10 @@ class RFocusMajoritySearch(Searcher):
     averaged the highest score.  The estimator is therefore the argmax of
     each element's mean probe score per state, not the majority count of
     wins RFocus names; the class keeps its name until the two estimators
-    have been compared.  No per-element measurement
-    is ever taken, so a round costs ``perturbations`` soundings regardless
-    of N, and the per-element statistics converge because every element's
-    states are (randomly) exercised across the batch.
+    have been compared.  No per-element measurement is ever taken, so a
+    round costs ``perturbations`` soundings regardless of N, and the
+    per-element statistics converge because every element's states are
+    (randomly) exercised across the batch.
 
     The body is written once, against the :class:`Scorer` protocol, so it
     runs on a channel basis (delta-scored, via :meth:`Searcher.search_basis`)
@@ -474,7 +474,7 @@ class RFocusMajoritySearch(Searcher):
     alike.  A round's probes are scored with one
     :meth:`~Scorer.score_perturbations` call — one kernel call on the
     delta scorer — and the voted configuration with one
-    :meth:`~Scorer.flip_many`.  The candidate configuration produced by a vote is adopted only
+    :meth:`~Scorer.flip_many`.  The voted configuration is adopted only
     if it actually improves the committed score, otherwise the round is
     rolled back and ``patience`` counts down to early exit; a vote that
     changes no element costs no sounding and also counts down.
