@@ -978,15 +978,14 @@ class DeltaEvaluator:
             return float(link_scores[0])  # one link's mean is its own score
         return float(np.dot(self._weights, link_scores) / self._weight_total)
 
-    def _joint_rows(self, links: np.ndarray) -> list:
-        """:meth:`_joint_score` of every (L,) row of ``links``, as (nested) lists."""
+    def _joint_rows(self, links: np.ndarray) -> Optional[list]:
+        """:meth:`_joint_score` of every (L,) row of ``links`` in one call, as
+        (nested) lists, or ``None`` when the aggregate has no row form."""
         if self._aggregate_rows is not None:
             return self._aggregate_rows(links, self._weights).tolist()
         if self._aggregate is None and links.shape[-1] == 1:
             return links[..., 0].tolist()
-        rows = links.reshape(-1, links.shape[-1])
-        scores = np.array([self._joint_score(row) for row in rows])
-        return scores.reshape(links.shape[:-1]).tolist()
+        return None
 
     def _rescore(self) -> float:
         self._links = self._link_scores(self._sum)
@@ -1124,7 +1123,10 @@ class DeltaEvaluator:
                 - self._tensor[moved, self._indices[moved]]
             ).sum(axis=0)
             np.add(self._sum, step, out=sums[probe])
-        values = self._joint_rows(self._link_scores(sums))
+        links = self._link_scores(sums)
+        values = self._joint_rows(links)
+        if values is None:
+            values = [self._joint_score(row) for row in links]
         self._record_many(values)
         return values
 
@@ -1239,9 +1241,7 @@ class DeltaEvaluator:
             self._settle_with(links[candidates])
         threshold = self._committed_score
         links = links[:candidates].reshape(count, max_states, num_links)
-        table = None  # aggregated row by row, up to the first accept
-        if self._aggregate_rows is not None or (self._aggregate is None and num_links == 1):
-            table = self._joint_rows(links)
+        table = self._joint_rows(links)  # None: row by row, up to the first accept
         state_counts = self._space.state_counts[lo:hi]
         charged: list[float] = []
         move = None

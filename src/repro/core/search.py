@@ -537,6 +537,7 @@ class RFocusMajoritySearch(Searcher):
         masks = np.empty((self.perturbations, num_elements), dtype=bool)
         states = np.empty((self.perturbations, num_elements), dtype=np.intp)
         cells = rows * max_states  # element n in state m is cell n*M + m
+        num_cells = num_elements * max_states
         for _ in range(self.rounds):
             _ROUNDS.inc()
             for probe in range(self.perturbations):
@@ -549,9 +550,8 @@ class RFocusMajoritySearch(Searcher):
             # same left-to-right sum of its probes' scores.
             probe_cells = (np.where(masks, states, current) + cells).ravel()
             weights = np.repeat(np.asarray(values), num_elements)
-            size = num_elements * max_states
-            score_sums = np.bincount(probe_cells, weights, size).reshape(num_elements, max_states)
-            probe_counts = np.bincount(probe_cells, None, size).reshape(num_elements, max_states)
+            score_sums = np.bincount(probe_cells, weights, num_cells).reshape(num_elements, max_states)
+            probe_counts = np.bincount(probe_cells, None, num_cells).reshape(num_elements, max_states)
             # The vote: each element independently adopts the state whose
             # probes scored best on average (unsampled states and index
             # padding past an element's state count never win).
