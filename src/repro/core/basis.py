@@ -48,6 +48,7 @@ from ..em.raytracer import RayTracer, TraceFrame, _points_to_arrays
 from ..obs.metrics import counter_handle
 from .array import PressArray
 from .configuration import ArrayConfiguration, ConfigurationSpace
+from .objectives import WeightedMeanAggregate
 
 __all__ = [
     "ChannelBasis",
@@ -756,7 +757,10 @@ class DeltaEvaluator:
     :data:`~repro.core.objectives.LinkAggregate` (weighted mean,
     worst-link max-min, lexicographic); ``aggregate=None`` means the
     weighted mean, matching :meth:`repro.core.joint.JointResult.aggregate_score`,
-    which for a single link is that link's own score.
+    which for a single link is that link's own score.  Every batch of
+    probes is aggregated in one call to the aggregate's ``rows`` form
+    (all three named aggregates have one), or row by row through
+    ``__call__`` for an aggregate without one.
 
     The evaluator keeps two states: a *working* configuration mutated by
     :meth:`flip`/:meth:`flip_many`, and a *committed* snapshot restored
@@ -836,7 +840,8 @@ class DeltaEvaluator:
                     f"{weight_vector.tolist()}"
                 )
         self._weights = weight_vector
-        self._weight_total = float(weight_vector.sum())
+        if aggregate is None and len(evaluators) > 1:
+            aggregate = WeightedMeanAggregate()
         self._aggregate = aggregate
         self._aggregate_rows = getattr(aggregate, "rows", None)
         self._objective = first.objective
@@ -864,12 +869,14 @@ class DeltaEvaluator:
         )
         # Scan buffers, reused by every kernel call: a window's candidate
         # CFRs and their SNRs, plus one row for an adopted configuration.
-        # Mapping the objective row by row costs as much per row as the
-        # scan it would save, so only a row form earns a window wider
-        # than one element.
+        # Mapping the objective or the aggregate row by row costs as much
+        # per row as the scan it would save, so only row forms of both
+        # earn a window wider than one element.
         _, max_states, num_links, num_subcarriers = self._tensor.shape
         self._scan_cap = 1
-        if self._objective_rows is not None:
+        if self._objective_rows is not None and (
+            aggregate is None or self._aggregate_rows is not None
+        ):
             self._scan_cap = max(1, _SCAN_ROWS // (max_states * num_links))
         rows = self._scan_cap * max_states + 1
         self._cfr_rows = np.empty((rows, num_links, num_subcarriers), dtype=complex)
@@ -970,26 +977,21 @@ class DeltaEvaluator:
         cfr = self._ambient + sums
         return self._objective_scores(cfr, np.empty(cfr.shape))
 
-    def _joint_score(self, link_scores: np.ndarray) -> float:
-        """Aggregate one probe's per-link scores, shape ``(L,)``."""
-        if self._aggregate is not None:
-            return float(self._aggregate(link_scores, self._weights))
-        if link_scores.size == 1:
-            return float(link_scores[0])  # one link's mean is its own score
-        return float(np.dot(self._weights, link_scores) / self._weight_total)
-
-    def _joint_rows(self, links: np.ndarray) -> Optional[list]:
-        """:meth:`_joint_score` of every (L,) row of ``links`` in one call, as
-        (nested) lists, or ``None`` when the aggregate has no row form."""
+    def _joint_scores(self, links: np.ndarray) -> Union[float, list]:
+        """The joint score of every (L,) row of ``links``: a float for one
+        row, (nested) lists for more.  An aggregate without a row form is
+        mapped row by row."""
+        if self._aggregate is None:
+            return links[..., 0].tolist()  # one link's mean is its own score
         if self._aggregate_rows is not None:
             return self._aggregate_rows(links, self._weights).tolist()
-        if self._aggregate is None and links.shape[-1] == 1:
-            return links[..., 0].tolist()
-        return None
+        rows = links.reshape(-1, links.shape[-1])
+        scores = (self._aggregate(row, self._weights) for row in rows)
+        return np.fromiter(scores, float, len(rows)).reshape(links.shape[:-1]).tolist()
 
     def _rescore(self) -> float:
         self._links = self._link_scores(self._sum)
-        self._score = self._joint_score(self._links)
+        self._score = self._joint_scores(self._links)
         return self._score
 
     def _settle(self) -> None:
@@ -1000,7 +1002,7 @@ class DeltaEvaluator:
     def _settle_with(self, links: np.ndarray) -> None:
         """Take ``links`` as the adopted (working and committed) scores."""
         self._links = self._committed_links = links
-        self._score = self._committed_score = self._joint_score(links)
+        self._score = self._committed_score = self._joint_scores(links)
         self._pending = False
 
     def _record(self, value: float) -> None:
@@ -1123,10 +1125,7 @@ class DeltaEvaluator:
                 - self._tensor[moved, self._indices[moved]]
             ).sum(axis=0)
             np.add(self._sum, step, out=sums[probe])
-        links = self._link_scores(sums)
-        values = self._joint_rows(links)
-        if values is None:
-            values = [self._joint_score(row) for row in links]
+        values = self._joint_scores(self._link_scores(sums))
         self._record_many(values)
         return values
 
@@ -1166,7 +1165,7 @@ class DeltaEvaluator:
         The per-element form of :meth:`first_improvement`'s kernel: the
         candidate sums for all M states of ``element`` on every link are
         formed in one (M, L, K) broadcast from one gather, scored in one
-        batched SNR evaluation and then aggregated once per state.  Counts
+        batched SNR evaluation and one aggregation call.  Counts
         M-1 probes (the current state's score is already known).
         """
         if not 0 <= element < self._space.num_elements:
@@ -1175,9 +1174,7 @@ class DeltaEvaluator:
         current = int(self._indices[element])
         block = self._tensor[element]
         candidates = (self._sum - block[current])[None] + block[:count]
-        scores = np.array(
-            [self._joint_score(row) for row in self._link_scores(candidates)]
-        )
+        scores = np.array(self._joint_scores(self._link_scores(candidates)))
         for m in range(count):
             if m != current:
                 self._record(float(scores[m]))
@@ -1199,11 +1196,11 @@ class DeltaEvaluator:
         window of elements is scored per kernel call: their candidate sums
         ``(sum - T[e, cur_e]) + T[e, m]`` are the same elementwise
         arithmetic as :meth:`scores_for_element`, so the scores are
-        bit-identical, and the objective's ``rows`` form scores them in
-        one call.  The window starts at two elements and doubles while
-        nothing improves, up to :data:`_SCAN_ROWS` rows; an objective
-        without a ``rows`` form is mapped row by row, one element per
-        call.  A configuration :meth:`adopt` left unscored rides along as
+        bit-identical, and the objective's and the aggregate's ``rows``
+        forms score them in one call each.  The window starts at two
+        elements and doubles while nothing improves, up to
+        :data:`_SCAN_ROWS` rows; without both ``rows`` forms it is one
+        element.  A configuration :meth:`adopt` left unscored rides along as
         one more row of the first call, and its score is the threshold.
         """
         num_elements = self._space.num_elements
@@ -1241,15 +1238,12 @@ class DeltaEvaluator:
             self._settle_with(links[candidates])
         threshold = self._committed_score
         links = links[:candidates].reshape(count, max_states, num_links)
-        table = self._joint_rows(links)  # None: row by row, up to the first accept
+        table = self._joint_scores(links)
         state_counts = self._space.state_counts[lo:hi]
         charged: list[float] = []
         move = None
         for i, (state, states) in enumerate(zip(current.tolist(), state_counts)):
-            if table is None:
-                row = [self._joint_score(scores) for scores in links[i, :states]]
-            else:
-                row = table[i][:states]
+            row = table[i][:states]
             charged += row[:state]
             charged += row[state + 1 :]
             top = max(row)

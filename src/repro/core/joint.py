@@ -48,6 +48,7 @@ import numpy as np
 
 from .basis import BasisEvaluator, DeltaEvaluator
 from .configuration import ArrayConfiguration, ConfigurationSpace
+from .objectives import WeightedMeanAggregate
 from .scheduler import SwitchingSchedule, TimingModel, packet_timescale_schedule
 from .search import CountingScore, ExhaustiveSearch, Searcher
 
@@ -205,7 +206,7 @@ class JointResult:
             [self.per_link_scores[link.name] for link in links], dtype=float
         )
         if aggregate is None:
-            return float(np.dot(weights, scores) / weights.sum())
+            aggregate = WeightedMeanAggregate()
         return float(aggregate(scores, weights))
 
     def worst_link_score(self) -> float:
@@ -326,14 +327,12 @@ def optimize_joint(
             resync_interval=resync_interval,
         )
     else:
-        total_weight = float(weights.sum())
+        link_aggregate = WeightedMeanAggregate() if aggregate is None else aggregate
 
         def joint_score(configuration: ArrayConfiguration) -> float:
             link_scores = np.array([link.score(configuration) for link in links])
             per_link_cache[configuration.indices] = link_scores
-            if aggregate is None:
-                return float(np.dot(weights, link_scores) / total_weight)
-            return float(aggregate(link_scores, weights))
+            return float(link_aggregate(link_scores, weights))
 
         scorer = CountingScore(joint_score, space)
 

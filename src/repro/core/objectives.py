@@ -230,6 +230,14 @@ class TargetCfrObjective:
 LinkAggregate = Callable[[np.ndarray, np.ndarray], float]
 
 
+def _total(weights: np.ndarray) -> float:
+    # np.sum's own reduction, without its per-call dispatch.
+    total = float(np.add.reduce(weights, axis=None))
+    if total <= 0.0:
+        raise ValueError(f"aggregate weights must sum to a positive total, got {total}")
+    return total
+
+
 @dataclass(frozen=True)
 class WeightedMeanAggregate:
     """Weighted mean of per-link scores (the utilitarian default).
@@ -240,14 +248,18 @@ class WeightedMeanAggregate:
     """
 
     def __call__(self, scores: np.ndarray, weights: np.ndarray) -> float:
-        scores = np.asarray(scores, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        total = float(np.sum(weights))
-        if total <= 0.0:
-            raise ValueError(
-                f"aggregate weights must sum to a positive total, got {total}"
-            )
-        return float(np.dot(weights, scores) / total)
+        return float(np.dot(weights, np.asarray(scores, dtype=float)) / _total(weights))
+
+    def rows(self, scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` of every row of per-link scores, in one call.
+
+        ``np.vecdot`` runs per row the BLAS dot that ``np.dot`` runs on
+        one vector, so each row keeps its bits; ``@``, ``einsum`` and
+        column sums add in another order.
+        """
+        weights = np.asarray(weights, dtype=float)
+        return np.vecdot(weights, np.asarray(scores, dtype=float)) / _total(weights)
 
 
 @dataclass(frozen=True)
@@ -289,6 +301,16 @@ class LexicographicAggregate:
         ordered = np.sort(np.asarray(scores, dtype=float))
         coefficients = self.epsilon ** np.arange(ordered.size)
         return float(np.dot(coefficients, ordered))
+
+    def rows(self, scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` of every row of per-link scores, in one call.
+
+        One BLAS dot per row, as in :meth:`WeightedMeanAggregate.rows`.
+        The sort must give contiguous rows, as it does for one vector:
+        BLAS adds a strided vector in another order.
+        """
+        ordered = np.sort(_contiguous(scores), axis=-1)
+        return np.vecdot(self.epsilon ** np.arange(ordered.shape[-1]), ordered)
 
 
 #: Names accepted by :func:`joint_aggregate` (the serve/CLI spelling of the

@@ -5,7 +5,10 @@ in-order sum per chunk of rows, and ``Scorer.score_perturbations`` scores
 an RFocus round's probes in one call.  Both replaced per-item loops, so
 these tests keep the loops as references and compare with ``==``: the
 gather against the element-by-element ``+=``, and the batched probes
-against a ``flip_many`` + ``revert`` per probe, on both scorers.
+against a ``flip_many`` + ``revert`` per probe, on both scorers.  The
+delta scorer aggregates its links' scores through the aggregate's
+``rows`` form, so whole searches are compared against the same aggregate
+mapped row by row.
 """
 
 import numpy as np
@@ -15,7 +18,10 @@ from repro.core import (
     ArrayConfiguration,
     DeltaEvaluator,
     EffectiveSnrObjective,
+    GreedyCoordinateDescent,
     MeanSnrObjective,
+    RFocusMajoritySearch,
+    WeightedMeanAggregate,
     joint_aggregate,
 )
 from repro.core import basis as basis_module
@@ -217,3 +223,47 @@ def test_counting_score_memo_matches_flip_and_revert():
         assert batched.num_scores == looped.num_scores
         assert batched.trajectory == looped.trajectory
         assert batched.configuration == looped.configuration
+
+
+# -- aggregate row forms ------------------------------------------------------
+
+
+def _joint_pair(num_links: int, aggregate):
+    """Two joint scorers over one scene: one with ``aggregate`` (``None`` or a
+    name), one with the same aggregate behind a callable that has no
+    ``rows`` form, so it is mapped row by row, one element per scan."""
+    named = None if aggregate is None else joint_aggregate(aggregate)
+    reference = named or WeightedMeanAggregate()
+    weights = np.random.default_rng(num_links).uniform(0.5, 2.0, num_links)
+    evaluators = [
+        _basis(RAGGED, seed=30 + link).evaluator(
+            MeanSnrObjective(), mask=np.arange(NUM_SUBCARRIERS) % 5 != 0
+        )
+        for link in range(num_links)
+    ]
+    return (
+        DeltaEvaluator(evaluators, weights=weights, aggregate=named),
+        DeltaEvaluator(evaluators, weights=weights, aggregate=lambda s, w: reference(s, w)),
+    )
+
+
+@pytest.mark.parametrize("aggregate", [None, "mean", "worst", "lexicographic"])
+@pytest.mark.parametrize("num_links", [3, 8])
+@pytest.mark.parametrize(
+    "searcher",
+    [GreedyCoordinateDescent(restarts=2, seed=5), RFocusMajoritySearch(seed=5)],
+    ids=["greedy", "rfocus"],
+)
+def test_row_forms_match_the_mapped_aggregate(aggregate, num_links, searcher):
+    """Winner, score bits, soundings and trajectory match the per-row route."""
+    rows, mapped = _joint_pair(num_links, aggregate)
+    assert rows._scan_cap > 1 and mapped._scan_cap == 1
+    batched, looped = searcher.search_scorer(rows), searcher.search_scorer(mapped)
+    assert batched.best == looped.best
+    assert float(batched.best_score).hex() == float(looped.best_score).hex()
+    assert batched.num_evaluations == looped.num_evaluations
+    assert batched.trajectory == looped.trajectory
+    for element in (0, RAGGED.index(2), len(RAGGED) - 1):
+        assert _bits(rows.scores_for_element(element)).tolist() == (
+            _bits(mapped.scores_for_element(element)).tolist()
+        )

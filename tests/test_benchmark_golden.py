@@ -11,6 +11,11 @@ values were recorded before greedy's scan deferred the accept step's
 re-score and grew its scan window; any change to the scan, accept or
 bookkeeping arithmetic shows up here as a different bit.
 
+The ``lexicographic`` and ``worst`` joint goldens pin the same rounds
+under those aggregates.  They were recorded before the weighted-mean and
+lexicographic aggregates gained their ``rows`` forms, while greedy still
+aggregated those two one row at a time.
+
 The RFocus goldens pin the same four values for the searches the
 benchmark routes to RFocus: ``search-single``'s N = 1024 scene,
 ``serve-mixed``'s N = 256 search scene, and ``serve-mixed``'s two-link
@@ -98,6 +103,62 @@ JOINT_GOLDEN = {
         '0x1.54d8710dfd544p+5',
         577,
         '56a82221205d8fea9b52c6aa7caa3aaa3bb18f7090bb3f0a17e25667a4ab6046',
+    ),
+}
+
+#: The same rounds under the ``lexicographic`` aggregate.
+LEXICOGRAPHIC_JOINT_GOLDEN = {
+    1: (
+        '53c5c0bd6e9d0c8280d4516db67714a7067cd9376d4e2ceb7ff780b7b4a85361',
+        '0x1.0cb211f81761dp+5',
+        769,
+        '93d7bd323a77e413d16e60eb683c42034b886f010ea03e178436d7ad4a7a817a',
+    ),
+    2: (
+        '74233d90eca360f4833f09175413ed63468e26b7de0750697d2bb4bca2021361',
+        '0x1.24a65db940187p+5',
+        577,
+        '6e3b9ce863bd6ea2ad9dd94700fcf35ea2e87fa3683112583bfaec052f68c40a',
+    ),
+    3: (
+        '11dbe44b60cada757dd0ec133f394757623c10f0bfcd42dcbf87d1ad9fb8570b',
+        '0x1.3cb8a43d0951fp+5',
+        577,
+        'bdcc8bf567d573fe537067cc998f9e67212be9d497df28fa420f65210bfda401',
+    ),
+    4: (
+        '1adddc1a8251d51f42e363163515080f0cfaea057d1481189ccacd6e9fc6bc76',
+        '0x1.3ec1e527a7a1cp+5',
+        769,
+        '88bcdac850f4aee53ac53bfef51463411cb07e9f29264ba896b52a8911394947',
+    ),
+}
+
+#: The same rounds under the ``worst`` aggregate.
+WORST_JOINT_GOLDEN = {
+    1: (
+        '53c5c0bd6e9d0c8280d4516db67714a7067cd9376d4e2ceb7ff780b7b4a85361',
+        '0x1.0c6d45f56fcb9p+5',
+        769,
+        '3bc356535833d8fdfc8f023fa853289fbdd054f9d71b66b0a85188fb4ca06740',
+    ),
+    2: (
+        '74233d90eca360f4833f09175413ed63468e26b7de0750697d2bb4bca2021361',
+        '0x1.245b3e8a58dd6p+5',
+        577,
+        '419af2503c9959e39df29b848fa0f78dcc5e869ee41712993daa04bd237dc923',
+    ),
+    3: (
+        '11dbe44b60cada757dd0ec133f394757623c10f0bfcd42dcbf87d1ad9fb8570b',
+        '0x1.3c678d1478cb2p+5',
+        577,
+        'dfb069689e5541ba8a2dc7c9c914e47f9c74b246fbc921916639f2c580f9a521',
+    ),
+    4: (
+        '1adddc1a8251d51f42e363163515080f0cfaea057d1481189ccacd6e9fc6bc76',
+        '0x1.3e6f6aa11085bp+5',
+        769,
+        '63ff9be94d01be706ef1e88ccb866a40a81a09e9980f4cbe05eb5b907a3c157b',
     ),
 }
 
@@ -209,7 +270,7 @@ def single_outcome(placement: int, seed: int) -> tuple:
     return _outcome(make_searcher("greedy", 0).search_scorer(evaluator.delta(initial)))
 
 
-def joint_outcome(round_seed: int) -> tuple:
+def joint_outcome(round_seed: int, aggregate: str = "mean") -> tuple:
     """A ``joint-moving`` round: eight users within 1 m of the RX anchor."""
     session = build_session(ScenarioSpec(kind="large", placement=0, num_elements=64))
     setup = session.setup
@@ -228,7 +289,7 @@ def joint_outcome(round_seed: int) -> tuple:
         )
         for basis in bases
     ]
-    scorer = DeltaEvaluator(evaluators, aggregate=joint_aggregate("mean"))
+    scorer = DeltaEvaluator(evaluators, aggregate=joint_aggregate(aggregate))
     return _outcome(make_searcher("greedy", round_seed).search_scorer(scorer))
 
 
@@ -240,6 +301,15 @@ def test_search_single_greedy_golden(placement, seed):
 @pytest.mark.parametrize("round_seed", sorted(JOINT_GOLDEN))
 def test_joint_moving_greedy_golden(round_seed):
     assert joint_outcome(round_seed) == JOINT_GOLDEN[round_seed]
+
+
+@pytest.mark.parametrize(
+    "aggregate,golden",
+    [("lexicographic", LEXICOGRAPHIC_JOINT_GOLDEN), ("worst", WORST_JOINT_GOLDEN)],
+)
+@pytest.mark.parametrize("round_seed", [1, 2, 3, 4])
+def test_joint_moving_greedy_golden_other_aggregates(round_seed, aggregate, golden):
+    assert joint_outcome(round_seed, aggregate) == golden[round_seed]
 
 
 def rfocus_single_outcome(placement: int, num_elements: int, seed: int) -> tuple:

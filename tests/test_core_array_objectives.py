@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array import PressArray
 from repro.core.configuration import ArrayConfiguration
@@ -14,11 +16,13 @@ from repro.core.objectives import (
     EffectiveSnrObjective,
     FlatnessObjective,
     InterferenceRatioObjective,
+    LexicographicAggregate,
     MeanSnrObjective,
     MinSnrObjective,
     SubbandContrastObjective,
     TargetCfrObjective,
     ThroughputObjective,
+    WeightedMeanAggregate,
     WeightedObjective,
     WorstLinkAggregate,
 )
@@ -217,3 +221,41 @@ class TestRowForms:
             [[aggregate(row, weights) for row in element] for element in scores]
         )
         assert np.array_equal(aggregate.rows(scores, weights), expected)
+
+
+AGGREGATES = [WeightedMeanAggregate(), WorstLinkAggregate(), LexicographicAggregate()]
+
+
+def _scores(layout: str, num_links: int, rng) -> np.ndarray:
+    """Per-link scores of a few rows, laid out as ``layout`` says."""
+    if layout == "contiguous":
+        return rng.normal(0.0, 50.0, (37, num_links))
+    if layout == "strided":
+        return rng.normal(0.0, 50.0, (74, 3 * num_links))[::2, ::3]
+    if layout == "transposed":
+        return rng.normal(0.0, 50.0, (num_links, 37)).T
+    if layout == "elements":  # a scan window's (E, M, L) table
+        return rng.normal(0.0, 50.0, (5, 4, num_links))
+    return rng.normal(0.0, 50.0, num_links)  # one probe's row
+
+
+class TestAggregateRowForms:
+    """``rows(S, w)`` has the bits of ``[agg(s, w) for s in S]``: the delta
+    scorer aggregates every scan window, RFocus round and lone probe
+    through it."""
+
+    @pytest.mark.parametrize("aggregate", AGGREGATES, ids=lambda a: type(a).__name__)
+    @given(
+        num_links=st.integers(min_value=1, max_value=40),
+        layout=st.sampled_from(["contiguous", "strided", "transposed", "elements", "row"]),
+        unit_weights=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_mapped_calls(self, aggregate, num_links, layout, unit_weights, seed):
+        rng = np.random.default_rng(seed)
+        scores = _scores(layout, num_links, rng)
+        weights = np.ones(num_links) if unit_weights else rng.uniform(0.05, 20.0, num_links)
+        mapped = [aggregate(row, weights) for row in scores.reshape(-1, num_links)]
+        expected = np.array(mapped).reshape(scores.shape[:-1])
+        assert np.asarray(aggregate.rows(scores, weights)).tobytes() == expected.tobytes()
