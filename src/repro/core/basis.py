@@ -212,6 +212,27 @@ class ChannelBasis:
             _ = self.all_element_sums
         return self
 
+    def __getstate__(self) -> dict:
+        # The masked tensors are rebuilt on demand, so they never ship.
+        state = self.__dict__.copy()
+        state.pop("_masked_tensors", None)
+        return state
+
+    def masked_tensor(self, mask: Optional[np.ndarray]) -> np.ndarray:
+        """The state tensor on ``mask``'s subcarriers, contiguous and read-only.
+
+        Built on first use per mask and shared by every later scorer;
+        :meth:`warm` leaves it unbuilt and pickling drops it.  Two racing
+        first uses build equal arrays and keep one, so it needs no lock.
+        """
+        key = None if mask is None else np.flatnonzero(mask).tobytes()
+        cache = self.__dict__.setdefault("_masked_tensors", {})
+        if key not in cache:
+            tensor = np.ascontiguousarray(_masked(self.state_tensor, mask))
+            tensor.setflags(write=False)
+            cache[key] = tensor
+        return cache[key]
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -851,11 +872,11 @@ class DeltaEvaluator:
         # elementwise — so the mask is applied once to the tensors and the
         # ambient CFRs up front, not per probe.  Scores are elementwise
         # identical to masking after the fact.
-        # T[n, m, l, k]; a single link is a view of its masked tensor, and
-        # each of several links is copied once, straight into its slice.
+        # T[n, m, l, k]; a single link is a view of its basis's cached
+        # masked tensor, and each of several links is copied once,
+        # straight into its slice.
         if len(evaluators) == 1:
-            masked = _masked(first.basis.state_tensor, first.mask)
-            self._tensor = np.ascontiguousarray(masked)[:, :, None, :]
+            self._tensor = first.basis.masked_tensor(first.mask)[:, :, None, :]
         else:
             num_elements, max_states, num_subcarriers = first.basis.state_tensor.shape
             kept = np.arange(num_subcarriers) if first.mask is None else np.flatnonzero(first.mask)
@@ -885,6 +906,7 @@ class DeltaEvaluator:
         # T as (N*M, L, K) rows: element e in state m is row e*M + m.
         self._state_rows = self._tensor.reshape(-1, num_links, num_subcarriers)
         self._first_rows = np.arange(space.num_elements) * max_states
+        self._table: Optional[np.ndarray] = None  # score_perturbations' D
         self._resync_interval = int(resync_interval)
         self._flips_since_resync = 0
         if initial is None:
@@ -931,12 +953,12 @@ class DeltaEvaluator:
     @property
     def configuration(self) -> ArrayConfiguration:
         """The current working configuration."""
-        return ArrayConfiguration(tuple(int(i) for i in self._indices))
+        return ArrayConfiguration(tuple(self._indices.tolist()))
 
     @property
     def committed_configuration(self) -> ArrayConfiguration:
         """The configuration :meth:`revert` falls back to."""
-        return ArrayConfiguration(tuple(int(i) for i in self._committed_indices))
+        return ArrayConfiguration(tuple(self._committed_indices.tolist()))
 
     def per_link_scores(self) -> np.ndarray:
         """Each link's objective at the current working configuration."""
@@ -997,12 +1019,13 @@ class DeltaEvaluator:
     def _settle(self) -> None:
         """Score an adopted configuration that no scan has scored yet."""
         if self._pending:
-            self._settle_with(self._link_scores(self._sum))
+            links = self._link_scores(self._sum)
+            self._settle_with(links, self._joint_scores(links))
 
-    def _settle_with(self, links: np.ndarray) -> None:
-        """Take ``links`` as the adopted (working and committed) scores."""
+    def _settle_with(self, links: np.ndarray, score: float) -> None:
+        """Take ``links`` and ``score`` as the adopted (working and committed) scores."""
         self._links = self._committed_links = links
-        self._score = self._committed_score = self._joint_scores(links)
+        self._score = self._committed_score = score
         self._pending = False
 
     def _record(self, value: float) -> None:
@@ -1095,18 +1118,24 @@ class DeltaEvaluator:
         so a state out of range raises ``ValueError`` before any probe is
         charged.
 
-        This is RFocus's round: each probe's running sum is built as
-        :meth:`flip_many` builds it, from the moved elements' differences
-        ``(T[idx, s] - T[idx, cur]).sum(axis=0)`` added to the working
-        sum, and the flip counter advances probe by probe as those flips
-        would advance it; a probe that reaches ``resync_interval`` is
-        summed from scratch over its own configuration instead, and the
+        This is RFocus's round.  It fills one difference table
+        ``D = T - T[arange(N), cur][:, None]``, allocated on the first
+        round, and each probe's running sum is built as :meth:`flip_many`
+        builds it: the moved elements' differences, here gathered as
+        ``D[idx, s]``, summed in order along axis 0 and added to the
+        working sum.  The flip counter advances probe by probe as those
+        flips would advance it; a probe that reaches ``resync_interval``
+        is summed from scratch over its own configuration instead, and the
         counter restarts.  All P sums are then scored in one kernel call,
         so each score has the bits a :meth:`flip_many` + :meth:`revert`
         of the probe gives from a committed working configuration.
         """
         masks, states = self._space.check_perturbations(masks, states)
         self._settle()
+        if self._table is None:
+            self._table = np.empty(self._tensor.shape, dtype=complex)
+        held = self._state_rows[self._first_rows + self._indices]
+        table = np.subtract(self._tensor, held[:, None], out=self._table)
         changed = masks & (states != self._indices)
         sums = np.empty((masks.shape[0],) + self._sum.shape, dtype=complex)
         for probe, moving in enumerate(changed):
@@ -1120,10 +1149,7 @@ class DeltaEvaluator:
                 indices = np.where(moving, states[probe], self._indices)
                 sums[probe] = self._full_sum(indices)
                 continue
-            step = (
-                self._tensor[moved, states[probe, moved]]
-                - self._tensor[moved, self._indices[moved]]
-            ).sum(axis=0)
+            step = table[moved, states[probe, moved]].sum(axis=0)
             np.add(self._sum, step, out=sums[probe])
         values = self._joint_scores(self._link_scores(sums))
         self._record_many(values)
@@ -1222,7 +1248,7 @@ class DeltaEvaluator:
     def _scan_window(self, lo: int, hi: int) -> Optional[tuple[int, int]]:
         """One kernel call of :meth:`first_improvement` over elements ``lo:hi``."""
         block = self._tensor[lo:hi]
-        count, max_states, num_links, _ = block.shape
+        count, max_states = block.shape[:2]
         current = self._indices[lo:hi]
         candidates = count * max_states
         used = candidates + self._pending
@@ -1234,16 +1260,15 @@ class DeltaEvaluator:
             cfr[candidates] = self._sum
         np.add(self._ambient, cfr, out=cfr)
         links = self._objective_scores(cfr, self._snr_rows[:used])
+        scores = self._joint_scores(links)
         if self._pending:
-            self._settle_with(links[candidates])
+            self._settle_with(links[candidates], scores[candidates])
         threshold = self._committed_score
-        links = links[:candidates].reshape(count, max_states, num_links)
-        table = self._joint_scores(links)
         state_counts = self._space.state_counts[lo:hi]
         charged: list[float] = []
         move = None
         for i, (state, states) in enumerate(zip(current.tolist(), state_counts)):
-            row = table[i][:states]
+            row = scores[i * max_states : i * max_states + states]
             charged += row[:state]
             charged += row[state + 1 :]
             top = max(row)

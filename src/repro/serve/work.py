@@ -53,7 +53,7 @@ def search_task(
         mask=mask,
     )
     return (
-        tuple(int(s) for s in result.best.indices),
+        tuple(np.asarray(result.best.indices).tolist()),
         float(result.best_score),
         int(result.num_evaluations),
     )

@@ -8,7 +8,10 @@ gather against the element-by-element ``+=``, and the batched probes
 against a ``flip_many`` + ``revert`` per probe, on both scorers.  The
 delta scorer aggregates its links' scores through the aggregate's
 ``rows`` form, so whole searches are compared against the same aggregate
-mapped row by row.
+mapped row by row.  Each probe's step comes from a per-round difference
+table, checked against the two gathers it replaced, and RFocus draws
+uniform state counts through numpy's scalar path, checked against the
+per-element array draw.
 """
 
 import numpy as np
@@ -267,3 +270,90 @@ def test_row_forms_match_the_mapped_aggregate(aggregate, num_links, searcher):
         assert _bits(rows.scores_for_element(element)).tolist() == (
             _bits(mapped.scores_for_element(element)).tolist()
         )
+
+
+# -- the difference table and the probe draw -----------------------------------
+
+
+def _two_gather_sums(scorer, masks, states) -> np.ndarray:
+    """Each probe's running sum with two gathers and a subtract per probe, the
+    route the difference table replaced; reads the scorer without changing it."""
+    tensor, current, running = scorer._tensor, scorer._indices, scorer._sum
+    flips = scorer._flips_since_resync
+    sums = np.empty((masks.shape[0],) + running.shape, dtype=complex)
+    for probe, moving in enumerate(masks & (states != current)):
+        moved = np.flatnonzero(moving)
+        if not moved.size:
+            sums[probe] = running
+            continue
+        flips += moved.size
+        if flips >= scorer._resync_interval:
+            flips = 0
+            indices = np.where(moving, states[probe], current)
+            sums[probe] = tensor[np.arange(current.size), indices].sum(axis=0)
+            continue
+        step = (tensor[moved, states[probe, moved]] - tensor[moved, current[moved]]).sum(axis=0)
+        sums[probe] = running + step
+    return sums
+
+
+def _move_working_configuration(scorer, how: str, rng) -> None:
+    """Move the working configuration one way a search between rounds does."""
+    space = scorer.space
+    if how in ("commit", "revert"):
+        elements = rng.choice(space.num_elements, size=5, replace=False)
+        targets = [int(rng.integers(0, space.state_counts[e])) for e in elements]
+        scorer.flip_many(elements, targets)
+        if how == "commit":
+            scorer.commit()
+        else:
+            scorer.revert()
+    elif how == "set_configuration":
+        scorer.set_configuration(space.random_configuration(rng))
+    else:
+        element = int(rng.integers(0, space.num_elements))
+        state = (scorer.configuration[element] + 1) % space.state_counts[element]
+        scorer.adopt(element, state)
+
+
+@pytest.mark.parametrize("num_links", [1, 2, 8])
+@pytest.mark.parametrize("resync_interval", [4096, 23, 7])
+def test_difference_table_matches_two_gathers(monkeypatch, num_links, resync_interval):
+    """Sums and scores match the two-gather loop bit for bit, round after
+    round, whichever way the working configuration moved in between: a
+    table left from an earlier round would fail."""
+    scorer = _delta_pair(num_links, None, resync_interval, MeanSnrObjective())[0]
+    link_scores = scorer._link_scores
+    seen = []
+
+    def capture(sums):
+        seen.append(sums)
+        return link_scores(sums)
+
+    monkeypatch.setattr(scorer, "_link_scores", capture)
+    rng = np.random.default_rng(13)
+    for how in ["commit", "revert", "set_configuration", "adopt"] * 3:
+        _move_working_configuration(scorer, how, rng)
+        # adopt leaves its score for the round to settle; the sums are final.
+        assert scorer._pending == (how == "adopt")
+        masks, states = _perturbations(scorer.space, 9, rng)
+        expected = _two_gather_sums(scorer, masks, states)
+        values = scorer.score_perturbations(masks, states)
+        assert _bits(seen[-1]).tolist() == _bits(expected).tolist()
+        assert values == scorer._joint_scores(link_scores(expected))
+
+
+@pytest.mark.parametrize("num_states", [2, 3, 4, 5])
+def test_uniform_draw_matches_the_array_draw(num_states):
+    """RFocus passes the scalar state count when every element shares it;
+    numpy's scalar path must draw the stream the per-element array draws,
+    also where Lemire's method rejects (3 and 5 states)."""
+    num_elements = 257
+    counts = np.full(num_elements, num_states, dtype=np.intp)
+    scalar, array = np.random.default_rng(14), np.random.default_rng(14)
+    for _ in range(60):
+        assert np.array_equal(scalar.random(num_elements), array.random(num_elements))
+        drawn = scalar.integers(0, num_states, size=num_elements)
+        reference = array.integers(0, counts)
+        assert drawn.dtype == reference.dtype
+        assert np.array_equal(drawn, reference)
