@@ -44,7 +44,7 @@ from ..em.antennas import Antenna, IsotropicAntenna
 from ..em.channel import snr_db_from_cfr, subcarrier_frequencies
 from ..em.geometry import Point
 from ..em.paths import PathBatch, SignalPath, path_arrays, paths_to_cfr_batch
-from ..em.raytracer import RayTracer, TraceFrame, _points_to_arrays
+from ..em.raytracer import RayTracer, TraceFrame, _points_to_arrays, rows_by_value
 from ..obs.metrics import counter_handle
 from .array import PressArray
 from .configuration import ArrayConfiguration, ConfigurationSpace
@@ -140,6 +140,25 @@ def _too_large_message(space: ConfigurationSpace) -> str:
         "or repro.core.scheduler.pick_searcher, which auto-selects them for "
         "large spaces."
     )
+
+
+def _delay_phasors(freq_factor: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    """``np.exp(freq_factor * delays[..., None])``, one ``exp`` per mirror pair.
+
+    ``freq_factor`` is ``-2j pi f`` on the centred grid of
+    :func:`subcarrier_frequencies`, where ``f[h - j] == -f[h + j]``
+    exactly (``h = K // 2``) and the exponent's real part is a signed
+    zero.  Bin ``h - j`` is then the conjugate of bin ``h + j`` bit for
+    bit, so bins from ``h`` up (and the unpaired bin 0 of an even grid)
+    take ``exp`` and the rest conjugate their mirrors.
+    """
+    num = freq_factor.shape[0]
+    half, low = num // 2, 1 - num % 2
+    phasors = np.empty(delays.shape + (num,), dtype=complex)
+    phasors[..., half:] = np.exp(freq_factor[half:] * delays[..., None])
+    phasors[..., :low] = np.exp(freq_factor[:low] * delays[..., None])
+    np.conjugate(phasors[..., 2 * half - low : half : -1], out=phasors[..., low:half])
+    return phasors
 
 
 def element_frame(array: PressArray, tracer: RayTracer, tx: Point, tx_antenna: Antenna) -> TraceFrame:
@@ -355,9 +374,7 @@ class ChannelBasis:
         amplitude, total, _, clear = frame.relay_geometry(rx_x, rx_y, rx_antenna)
         carrier_phasor = np.exp(-2.0j * np.pi * total / tracer.wavelength_m)
         base_delay = total / SPEED_OF_LIGHT
-        by_states: dict[tuple, list[int]] = {}  # elements grouped by state set
-        for n, element in enumerate(array.elements):
-            by_states.setdefault(element.states, []).append(n)
+        by_states = rows_by_value([element.states for element in array.elements])
         for states, rows in by_states.items():
             for m, state in enumerate(states):
                 if state.is_terminated:
@@ -374,7 +391,7 @@ class ChannelBasis:
                 )
                 valid = clear[rows] & (np.abs(gain) != 0.0)
                 delay = base_delay[rows] + state.extra_delay_s
-                contribution = gain[..., None] * np.exp(freq_factor * delay[..., None])
+                contribution = gain[..., None] * _delay_phasors(freq_factor, delay)
                 contribution[~valid] = 0.0
                 by_element[rows, m] = contribution
         return [
@@ -411,8 +428,9 @@ class ChannelBasis:
         blockage, antenna gains) is one :meth:`TraceFrame.relay_geometry`
         broadcast over every element — not one trace per (element, state)
         as the scalar path does — and every state's reflectivity, stub
-        phase and stub dispersion fold in as vectorized per-chunk numpy
-        operations, with per-state-set constants cached across elements.
+        phase and stub dispersion fold in as one broadcast per chunk and
+        state set, with per-state-set constants shared across elements.
+        Blocked and zero-amplitude elements keep zero rows.
         Agrees with :meth:`trace` to <=1e-9 (the stub phasor is factored
         out of the per-subcarrier exponential; the math is identical, the
         op order differs only in that split).
@@ -449,13 +467,14 @@ class ChannelBasis:
         frame = element_frame(array, tracer, tx, tx_antenna)
         geometry = frame.relay_geometry(np.array([rx.x]), np.array([rx.y]), rx_antenna)
         amplitudes, all_totals, _, clears = (column[:, 0] for column in geometry)
+        live = clears & (amplitudes != 0.0)  # blocked and zero rows stay zero
 
         # Per-state-set constants, shared across every element using the
         # same switch hardware (the common case is one state set for the
         # whole wall): Gamma at the carrier and the stub's dispersion
         # phasor across the band.
-        folds: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for states in dict.fromkeys(element.states for element in array.elements):
+        folds = []
+        for states, rows in rows_by_value([e.states for e in array.elements]).items():
             gamma = np.zeros(len(states), dtype=complex)
             extra_phasor = np.zeros((len(states), num_subcarriers), dtype=complex)
             for m, state in enumerate(states):
@@ -468,25 +487,22 @@ class ChannelBasis:
                     math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
                 ) * complex(math.cos(stub_carrier_phase), math.sin(stub_carrier_phase))
                 extra_phasor[m] = np.exp(freq_factor * state.extra_delay_s)
-            folds[states] = (gamma, extra_phasor)
+            folds.append((rows[live[rows]], gamma, extra_phasor))
 
+        # One broadcast per (chunk, state set): each live element's
+        # carrier phase, propagation-delay phasor and state fold, in the
+        # per-element order of operations.
         for start in range(0, num_elements, element_chunk):
-            stop = min(start + element_chunk, num_elements)
-            totals = all_totals[start:stop]
-            # One vectorized (chunk, K) exponential covers the chunk's
-            # carrier phase + propagation delay across the band.
-            base_phasors = np.exp(
-                freq_factor[None, :] * (totals / SPEED_OF_LIGHT)[:, None]
-            )
-            carrier_phasors = np.exp(-2.0j * np.pi * totals / tracer.wavelength_m)
-            for offset, n in enumerate(range(start, stop)):
-                if not clears[n] or amplitudes[n] == 0.0:
+            for live_rows, gamma, extra_phasor in folds:
+                rows = live_rows[(live_rows >= start) & (live_rows < start + element_chunk)]
+                if not len(rows):
                     continue
-                element = array.elements[n]
-                gamma, extra_phasor = folds[element.states]
-                per_state_gain = amplitudes[n] * carrier_phasors[offset] * gamma
-                tensor[n, : len(element.states)] = (
-                    per_state_gain[:, None] * base_phasors[offset][None, :] * extra_phasor
+                totals = all_totals[rows]
+                base_phasors = _delay_phasors(freq_factor, totals / SPEED_OF_LIGHT)
+                carrier_phasors = np.exp(-2.0j * np.pi * totals / tracer.wavelength_m)
+                per_state_gain = amplitudes[rows, None] * carrier_phasors[:, None] * gamma
+                tensor[rows, : len(gamma)] = (
+                    per_state_gain[:, :, None] * base_phasors[:, None, :] * extra_phasor
                 )
         return cls(
             space=space,
@@ -965,6 +981,16 @@ class DeltaEvaluator:
         self._settle()
         return self._links.copy()
 
+    def link_scores_at(self, configuration: ArrayConfiguration) -> np.ndarray:
+        """Each link's objective at ``configuration``, summed from scratch.
+
+        It reads the basis, so it sounds nothing and charges no probe.  The
+        element sum adds the same terms in the same order as
+        :class:`BasisEvaluator`'s full path, so every score has its bits.
+        """
+        self._space.validate(configuration)
+        return self._link_scores(self._full_sum(np.array(configuration.indices, dtype=np.intp)))
+
     # -- internals ------------------------------------------------------
     def _full_sum(self, indices: Optional[np.ndarray] = None) -> np.ndarray:
         """The running sums of ``indices`` (the working ones by default), from scratch."""
@@ -1139,7 +1165,7 @@ class DeltaEvaluator:
         changed = masks & (states != self._indices)
         sums = np.empty((masks.shape[0],) + self._sum.shape, dtype=complex)
         for probe, moving in enumerate(changed):
-            moved = np.flatnonzero(moving)
+            moved = moving.nonzero()[0]
             if not moved.size:
                 sums[probe] = self._sum
                 continue

@@ -101,6 +101,12 @@ class ConfigurationSpace:
     def _state_count_array(self) -> np.ndarray:
         return np.array(self.state_counts, dtype=np.uintp)
 
+    def __getstate__(self) -> dict:
+        # The state-count memo is rebuilt on demand, so it never ships.
+        state = self.__dict__.copy()
+        state.pop("_state_count_array", None)
+        return state
+
     def check_moves(
         self, elements: Sequence[int], states: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -337,13 +337,13 @@ def optimize_joint(
         scorer = CountingScore(joint_score, space)
 
     result = searcher.search_scorer(scorer)
-    cached = per_link_cache.get(result.best.indices)
-    if cached is None:
-        # Only the delta route leaves nothing cached (searchers always
-        # probe their winner): reading the winner's per-link scores off
-        # the basis costs no new soundings.
-        cached = np.array([link.score(result.best) for link in links])
-    scores = {link.name: float(cached[i]) for i, link in enumerate(links)}
+    if isinstance(scorer, DeltaEvaluator):
+        # The delta route caches nothing: its scorer reads the winner's
+        # per-link scores off the stacked bases, with no new soundings.
+        link_scores = scorer.link_scores_at(result.best)
+    else:
+        link_scores = per_link_cache[result.best.indices]  # searchers probe their winner
+    scores = {link.name: float(link_scores[i]) for i, link in enumerate(links)}
     return JointResult(
         strategy="joint",
         assignments={link.name: result.best for link in links},

@@ -458,28 +458,14 @@ class RayTracer:
     ) -> "TraceFrame":
         """Everything about ``tx`` in this scene that no receiver changes.
 
-        The TX images of every wall sequence, and the TX-facing half of
-        every scatterer and relay.  A relay is ``(position, antenna,
-        gain_dbi)``; an antenna of ``None`` means a flat ``gain_dbi`` on
-        both hops, as for a scatterer.
+        The TX-facing half of every relay, traced here, and the TX images
+        of every wall sequence and the TX-facing half of every scatterer,
+        traced on the frame's first ambient batch.  A relay is
+        ``(position, antenna, gain_dbi)``; an antenna of ``None`` means a
+        flat ``gain_dbi`` on both hops, as for a scatterer.
         """
-        walls = self.scene.walls
-        pairs = [(a, b) for a in walls for b in walls if not _same_segment(a.segment, b.segment)]
-        sequences = [[(wall,) for wall in walls], pairs][: self.max_bounces]
-        scatterers = self.scene.scatterers
         return TraceFrame(
-            tracer=self,
-            tx=tx,
-            tx_antenna=tx_antenna,
-            walls=tuple(
-                _wall_group(tx, group, self._packed_blockers) for group in sequences if group
-            ),
-            scatterers=_relay_half(
-                self, tx, tx_antenna, [(s.position, None, s.gain_dbi) for s in scatterers]
-            ),
-            scatterer_reflectivity=np.array(
-                [s.reflectivity for s in scatterers], dtype=complex
-            ).reshape(-1, 1),
+            tracer=self, tx=tx, tx_antenna=tx_antenna,
             relays=_relay_half(self, tx, tx_antenna, relays),
         )
 
@@ -522,31 +508,40 @@ class _Relays:
 
 
 def _relay_half(tracer: RayTracer, tx: Point, tx_antenna: Antenna, relays) -> _Relays:
-    """Trace the TX-facing half of ``relays`` (see :class:`_Relays`)."""
-    columns = np.zeros((8, len(relays), 1))
-    by_antenna: dict[Antenna, list[int]] = {}
-    for row, (via, antenna, gain_dbi) in enumerate(relays):
-        d1 = distance(tx, via)
-        aod = (via - tx).angle()
-        flat = 10.0 ** (gain_dbi / 20.0)
-        if antenna is None:
-            gain_in = flat
-        else:
-            gain_in = antenna.amplitude_gain((tx - via).angle())
-            by_antenna.setdefault(antenna, []).append(row)
-        hop1 = free_space_amplitude(d1, tracer.wavelength_m)
-        tx_gain = tx_antenna.amplitude_gain(aod)
-        columns[:, row, 0] = (via.x, via.y, d1, hop1, tx_gain, gain_in, aod, flat)
+    """Trace the TX-facing half of ``relays`` (see :class:`_Relays`).
+
+    Distances and angles come from the scalar tracer's ``math.hypot`` and
+    ``math.atan2``, mapped over float lists: numpy's ``hypot`` and
+    ``arctan2`` round differently on some inputs.  The rest is array
+    arithmetic with the scalar operations in the scalar order.  Antenna
+    gains take one ``amplitude_gain_array`` call per distinct antenna.
+    """
+    positions, antennas, gains_dbi = zip(*relays) if relays else ((), (), ())
+    via_x = np.array([via.x for via in positions], dtype=float)
+    via_y = np.array([via.y for via in positions], dtype=float)
+    dx, dy = (via_x - tx.x).tolist(), (via_y - tx.y).tolist()
+    d1 = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+    aod = np.fromiter(map(math.atan2, dy, dx), float, len(dx))
+    flat_of = {gain: 10.0 ** (gain / 20.0) for gain in dict.fromkeys(gains_dbi)}
+    flat = np.array([flat_of[gain] for gain in gains_dbi], dtype=float)
+    patterns = tuple(
+        (antenna, rows) for antenna, rows in rows_by_value(antennas).items() if antenna is not None
+    )
+    gain_in = flat.copy()
+    for antenna, rows in patterns:
+        # The incident angle (tx - via).angle(), negating exact differences.
+        incident = map(math.atan2, (tx.y - via_y[rows]).tolist(), (tx.x - via_x[rows]).tolist())
+        gain_in[rows] = antenna.amplitude_gain_array(np.fromiter(incident, float, len(rows)))
+    columns = np.stack([
+        via_x, via_y, d1, _free_space_amplitude_array(d1, tracer.wavelength_m),
+        tx_antenna.amplitude_gain_array(aod), gain_in, aod, flat,
+    ])[:, :, None]
     blocked = legs_blocked_packed(
-        *np.broadcast_arrays(tx.x, tx.y, columns[0, :, 0], columns[1, :, 0]),
+        *np.broadcast_arrays(tx.x, tx.y, via_x, via_y),
         tracer._packed_blockers,
         endpoint_tol=_ENDPOINT_TOL,
     )
-    return _Relays(
-        columns=columns,
-        tx_clear=~blocked[:, None],
-        patterns=tuple((antenna, np.array(rows)) for antenna, rows in by_antenna.items()),
-    )
+    return _Relays(columns=columns, tx_clear=~blocked[:, None], patterns=patterns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,16 +598,36 @@ class TraceFrame:
     all scatterers and one ``(N, P)`` for all relays, with one
     :func:`legs_blocked_packed` call per family.  Every row keeps the
     scalar tracer's order of operations, so results do not depend on the
-    batch, the frame's reuse, or how many relays it holds.
+    batch, the frame's reuse, or how many relays it holds.  The wall and
+    scatterer halves are traced on first use, so a frame that only serves
+    :meth:`relay_geometry` (a chunked basis build) never traces them.
     """
 
     tracer: RayTracer
     tx: Point
     tx_antenna: Antenna
-    walls: tuple[_WallGroup, ...]
-    scatterers: _Relays
-    scatterer_reflectivity: np.ndarray
     relays: _Relays
+
+    @cached_property
+    def walls(self) -> tuple[_WallGroup, ...]:
+        """One traced group per wall-sequence length, up to ``max_bounces``."""
+        walls = self.tracer.scene.walls
+        pairs = [(a, b) for a in walls for b in walls if not _same_segment(a.segment, b.segment)]
+        sequences = [[(wall,) for wall in walls], pairs][: self.tracer.max_bounces]
+        packed = self.tracer._packed_blockers
+        return tuple(_wall_group(self.tx, group, packed) for group in sequences if group)
+
+    @cached_property
+    def scatterers(self) -> _Relays:
+        """The TX-facing half of every scatterer, each a flat-gain relay."""
+        relays = [(s.position, None, s.gain_dbi) for s in self.tracer.scene.scatterers]
+        return _relay_half(self.tracer, self.tx, self.tx_antenna, relays)
+
+    @cached_property
+    def scatterer_reflectivity(self) -> np.ndarray:
+        """Each scatterer's complex reflectivity, as an ``(R, 1)`` column."""
+        scatterers = self.tracer.scene.scatterers
+        return np.array([s.reflectivity for s in scatterers], dtype=complex).reshape(-1, 1)
 
     def trace_batch(
         self,
@@ -884,6 +899,24 @@ def _ray_segment_hits(
     tt = (rel_x * sx + rel_y * sy) / (seg_len * seg_len)
     contains = (perp <= tol) & (tt >= -tol / seg_len) & (tt <= 1.0 + tol / seg_len)
     return hit_x, hit_y, ok_pre & contains
+
+
+def rows_by_value(values: Sequence) -> dict:
+    """The sorted row indices of each distinct value, in first-use order.
+
+    Rows group by object identity first, in numpy, so each distinct
+    object hashes once (a frozen dataclass, or a tuple of them, hashes
+    field by field), and then equal objects merge.
+    """
+    ids = np.fromiter(map(id, values), dtype=np.uint64, count=len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    label = np.empty(len(first), dtype=np.intp)
+    index: dict = {}  # value -> label
+    for code in np.argsort(first):
+        label[code] = index.setdefault(values[first[code]], len(index))
+    labels = label[inverse]
+    order = np.argsort(labels, kind="stable")
+    return dict(zip(index, np.split(order, np.cumsum(np.bincount(labels))[:-1])))
 
 
 def _same_segment(a: Segment, b: Segment) -> bool:

@@ -183,18 +183,14 @@ def surface_grid_positions(
     if length <= 0:
         raise ValueError("start and end must be distinct points")
     unit = direction.normalized()
-    normal = Point(-unit.y, unit.x)
     columns = -(-count // rows)  # ceil: last row may be partial
-    positions: list[Point] = []
-    for index in range(count):
-        row, column = divmod(index, columns)
-        if columns == 1:
-            along = 0.5 * length
-        else:
-            along = length * column / (columns - 1)
-        inward = standoff_m + row * row_spacing_m
-        positions.append(start + along * unit + inward * normal)
-    return tuple(positions)
+    # Point arithmetic's operations, in its order, over every index at once.
+    row, column = np.divmod(np.arange(count), columns)
+    along = np.full(count, 0.5 * length) if columns == 1 else length * column / (columns - 1)
+    inward = standoff_m + row * row_spacing_m
+    xs = start.x + along * unit.x + inward * -unit.y
+    ys = start.y + along * unit.y + inward * unit.x
+    return tuple(map(Point, xs.tolist(), ys.tolist()))
 
 
 def blocker_between(

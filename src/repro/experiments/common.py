@@ -38,6 +38,7 @@ import numpy as np
 
 from ..core.array import PressArray
 from ..core.element import PressElement, omni_element, sp4t_states
+from ..em.antennas import OmniAntenna
 from ..em.geometry import Point, Segment, Wall, points_on_grid
 from ..em.materials import MATERIALS, Material, register_material
 from ..em.scene import (
@@ -495,13 +496,10 @@ def build_large_array_setup(
             count=num_elements,
             rows=rows,
         )
+        # omni_element's element, with one antenna shared by the wall.
+        antenna = OmniAntenna(peak_gain_dbi=config.element_gain_dbi)
         return [
-            omni_element(
-                p,
-                name=f"e{i}",
-                gain_dbi=config.element_gain_dbi,
-                states=state_set,
-            )
+            PressElement(position=p, antenna=antenna, states=state_set, name=f"e{i}")
             for i, p in enumerate(positions)
         ]
 

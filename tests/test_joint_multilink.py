@@ -31,8 +31,9 @@ from repro.core import (
     joint_aggregate,
     optimize_hybrid,
     optimize_joint,
-    optimize_per_link,
 )
+from repro.core.basis import ChannelBasis
+from repro.em.channel import subcarrier_frequencies
 from repro.em.geometry import Point
 from repro.experiments import build_large_array_setup, build_nlos_setup, used_subcarrier_mask
 from repro.obs.metrics import global_registry
@@ -463,3 +464,39 @@ class TestMultiUserExperiment:
             run_multi_user(link_counts=(2,), strategies=("static",))
         with pytest.raises(ValueError):
             run_multi_user(link_counts=(2,), searcher="oracle")
+
+
+def _ragged_links(num_links, mask):
+    """BasisLinks over random bases of one ragged 24-element space, K = 64."""
+    state_counts = (4, 2, 4, 3) * 6
+    rng = np.random.default_rng(num_links)
+    links = []
+    for index in range(num_links):
+        shape = (len(state_counts), 4, 64)
+        basis = ChannelBasis(
+            space=ConfigurationSpace(state_counts=state_counts),
+            frequencies_hz=subcarrier_frequencies(64, 20e6),
+            ambient_gains=1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3)),
+            ambient_delays=rng.uniform(0.0, 2e-7, size=3),
+            state_tensor=1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)),
+            num_subcarriers=64,
+            bandwidth_hz=20e6,
+        )
+        evaluator = basis.evaluator(MeanSnrObjective(), mask=mask)
+        links.append(BasisLink(name=f"L{index}", evaluator=evaluator))
+    return links
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "used-mask"])
+@pytest.mark.parametrize("num_links", [1, 2, 8])
+def test_joint_winner_scores_have_the_full_path_bits(num_links, masked):
+    """The delta route reads the winner's per-link scores off its own scorer;
+    each has the hex of a full-path BasisEvaluator call."""
+    links = _ragged_links(num_links, used_subcarrier_mask() if masked else None)
+    for searcher in (GreedyCoordinateDescent(max_sweeps=2, seed=1), RFocusMajoritySearch(seed=1)):
+        result = optimize_joint(links, searcher=searcher)
+        winner = result.assignments["L0"]
+        assert any(winner.indices)
+        assert [result.per_link_scores[link.name].hex() for link in links] == [
+            float(link.evaluator(winner)).hex() for link in links
+        ]
