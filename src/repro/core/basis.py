@@ -45,6 +45,7 @@ from ..em.channel import snr_db_from_cfr, subcarrier_frequencies
 from ..em.geometry import Point
 from ..em.paths import PathBatch, SignalPath, path_arrays, paths_to_cfr_batch
 from ..em.raytracer import RayTracer, TraceFrame, _points_to_arrays, rows_by_value
+from ..em.trace_cache import global_trace_cache
 from ..obs.metrics import counter_handle
 from .array import PressArray
 from .configuration import ArrayConfiguration, ConfigurationSpace
@@ -159,6 +160,111 @@ def _delay_phasors(freq_factor: np.ndarray, delays: np.ndarray) -> np.ndarray:
     phasors[..., :low] = np.exp(freq_factor[:low] * delays[..., None])
     np.conjugate(phasors[..., 2 * half - low : half : -1], out=phasors[..., low:half])
     return phasors
+
+
+def _element_tensor_key(
+    array: PressArray,
+    tracer: RayTracer,
+    tx: Point,
+    rx: Point,
+    tx_antenna: Antenna,
+    rx_antenna: Antenna,
+    by_states: dict,
+    num_subcarriers: int,
+    bandwidth_hz: float,
+    element_chunk: int,
+) -> tuple:
+    """The trace-cache key of :func:`_element_tensor`: every value it reads.
+
+    Element positions go in as one float64 array's bytes and antennas and
+    state sets as their row groups, so a key costs one hash per distinct
+    antenna or state set rather than one per element.  Scatterers, wall
+    materials and ``max_bounces`` are not read.
+    """
+    elements = array.elements
+    positions = np.fromiter(
+        (c for e in elements for c in (e.position.x, e.position.y)), float, 2 * len(elements)
+    )
+    by_antenna = rows_by_value([e.antenna for e in elements])
+    return (
+        "element-tensor",
+        tuple(tracer.scene.blocking_segments()),
+        tracer.frequency_hz,
+        tx,
+        rx,
+        tx_antenna,
+        rx_antenna,
+        positions.tobytes(),
+        tuple((antenna, rows.tobytes()) for antenna, rows in by_antenna.items()),
+        tuple((states, rows.tobytes()) for states, rows in by_states.items()),
+        num_subcarriers,
+        bandwidth_hz,
+        element_chunk,
+    )
+
+
+def _element_tensor(
+    array: PressArray,
+    tracer: RayTracer,
+    tx: Point,
+    rx: Point,
+    tx_antenna: Antenna,
+    rx_antenna: Antenna,
+    by_states: dict,
+    freqs: np.ndarray,
+    element_chunk: int,
+) -> np.ndarray:
+    """``E[n, m, k]`` of :meth:`ChannelBasis.trace_chunked`.
+
+    Geometry is one :meth:`TraceFrame.relay_geometry` broadcast over every
+    element, and each state set folds in as one broadcast per chunk.
+    """
+    num_elements = array.num_elements
+    max_states = max(len(states) for states in by_states)
+    tensor = np.zeros((num_elements, max_states, freqs.shape[0]), dtype=complex)
+    carrier = tracer.frequency_hz
+    freq_factor = -2.0j * np.pi * freqs  # shared (K,) phasor exponent
+    frame = element_frame(array, tracer, tx, tx_antenna)
+    geometry = frame.relay_geometry(np.array([rx.x]), np.array([rx.y]), rx_antenna)
+    amplitudes, all_totals, _, clears = (column[:, 0] for column in geometry)
+    live = clears & (amplitudes != 0.0)  # blocked and zero rows stay zero
+
+    # Per-state-set constants, shared across every element using the
+    # same switch hardware (the common case is one state set for the
+    # whole wall): Gamma at the carrier and the stub's dispersion
+    # phasor across the band.
+    folds = []
+    for states, rows in by_states.items():
+        gamma = np.zeros(len(states), dtype=complex)
+        extra_phasor = np.zeros((len(states), freqs.shape[0]), dtype=complex)
+        for m, state in enumerate(states):
+            if state.is_terminated:
+                continue
+            stub_carrier_phase = (
+                -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
+            )
+            gamma[m] = state.magnitude * complex(
+                math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
+            ) * complex(math.cos(stub_carrier_phase), math.sin(stub_carrier_phase))
+            extra_phasor[m] = np.exp(freq_factor * state.extra_delay_s)
+        folds.append((rows[live[rows]], gamma, extra_phasor))
+
+    # One broadcast per (chunk, state set): each live element's
+    # carrier phase, propagation-delay phasor and state fold, in the
+    # per-element order of operations.
+    for start in range(0, num_elements, element_chunk):
+        for live_rows, gamma, extra_phasor in folds:
+            rows = live_rows[(live_rows >= start) & (live_rows < start + element_chunk)]
+            if not len(rows):
+                continue
+            totals = all_totals[rows]
+            base_phasors = _delay_phasors(freq_factor, totals / SPEED_OF_LIGHT)
+            carrier_phasors = np.exp(-2.0j * np.pi * totals / tracer.wavelength_m)
+            per_state_gain = amplitudes[rows, None] * carrier_phasors[:, None] * gamma
+            tensor[rows, : len(gamma)] = (
+                per_state_gain[:, :, None] * base_phasors[:, None, :] * extra_phasor
+            )
+    return tensor
 
 
 def element_frame(array: PressArray, tracer: RayTracer, tx: Point, tx_antenna: Antenna) -> TraceFrame:
@@ -442,6 +548,12 @@ class ChannelBasis:
         raising :class:`StateTensorBudgetExceeded` before any allocation
         instead of OOM-ing mid-build.  Nothing here ever touches the M^N
         configuration table.
+
+        The tensor comes from the process-wide trace cache
+        (:meth:`~repro.em.trace_cache.TraceCache.get_or_build_tensor`),
+        keyed by every value its build reads (:func:`_element_tensor_key`):
+        bases of one array between one pair of endpoints in one opaque
+        geometry share one read-only tensor, whatever their scatterers.
         """
         if element_chunk <= 0:
             raise ValueError(f"element_chunk must be positive, got {element_chunk}")
@@ -460,50 +572,17 @@ class ChannelBasis:
         if environment_paths is None:
             environment_paths = tracer.trace(tx, rx, tx_antenna, rx_antenna)
         gains, delays, _ = path_arrays(environment_paths)
-        num_elements = array.num_elements
-        tensor = np.zeros((num_elements, max_states, num_subcarriers), dtype=complex)
-        carrier = tracer.frequency_hz
-        freq_factor = -2.0j * np.pi * freqs  # shared (K,) phasor exponent
-        frame = element_frame(array, tracer, tx, tx_antenna)
-        geometry = frame.relay_geometry(np.array([rx.x]), np.array([rx.y]), rx_antenna)
-        amplitudes, all_totals, _, clears = (column[:, 0] for column in geometry)
-        live = clears & (amplitudes != 0.0)  # blocked and zero rows stay zero
-
-        # Per-state-set constants, shared across every element using the
-        # same switch hardware (the common case is one state set for the
-        # whole wall): Gamma at the carrier and the stub's dispersion
-        # phasor across the band.
-        folds = []
-        for states, rows in rows_by_value([e.states for e in array.elements]).items():
-            gamma = np.zeros(len(states), dtype=complex)
-            extra_phasor = np.zeros((len(states), num_subcarriers), dtype=complex)
-            for m, state in enumerate(states):
-                if state.is_terminated:
-                    continue
-                stub_carrier_phase = (
-                    -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
-                )
-                gamma[m] = state.magnitude * complex(
-                    math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
-                ) * complex(math.cos(stub_carrier_phase), math.sin(stub_carrier_phase))
-                extra_phasor[m] = np.exp(freq_factor * state.extra_delay_s)
-            folds.append((rows[live[rows]], gamma, extra_phasor))
-
-        # One broadcast per (chunk, state set): each live element's
-        # carrier phase, propagation-delay phasor and state fold, in the
-        # per-element order of operations.
-        for start in range(0, num_elements, element_chunk):
-            for live_rows, gamma, extra_phasor in folds:
-                rows = live_rows[(live_rows >= start) & (live_rows < start + element_chunk)]
-                if not len(rows):
-                    continue
-                totals = all_totals[rows]
-                base_phasors = _delay_phasors(freq_factor, totals / SPEED_OF_LIGHT)
-                carrier_phasors = np.exp(-2.0j * np.pi * totals / tracer.wavelength_m)
-                per_state_gain = amplitudes[rows, None] * carrier_phasors[:, None] * gamma
-                tensor[rows, : len(gamma)] = (
-                    per_state_gain[:, :, None] * base_phasors[:, None, :] * extra_phasor
-                )
+        by_states = rows_by_value([e.states for e in array.elements])
+        key = _element_tensor_key(
+            array, tracer, tx, rx, tx_antenna, rx_antenna, by_states,
+            num_subcarriers, bandwidth_hz, element_chunk,
+        )
+        tensor = global_trace_cache().get_or_build_tensor(
+            key,
+            lambda: _element_tensor(
+                array, tracer, tx, rx, tx_antenna, rx_antenna, by_states, freqs, element_chunk
+            ),
+        )
         return cls(
             space=space,
             frequencies_hz=freqs,

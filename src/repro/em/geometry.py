@@ -388,50 +388,62 @@ def legs_blocked_packed(
     ex = np.asarray(end_x, dtype=float)
     ey = np.asarray(end_y, dtype=float)
     num_legs = px.shape[0]
+    blocked = np.zeros(num_legs, dtype=bool)
     if len(packed) == 0:
-        return np.zeros(num_legs, dtype=bool)
+        return blocked
     rx = ex - px
     ry = ey - py
+    # Pairs are laid out (S, P), so each numpy inner loop runs over the
+    # legs rather than over the scene's few segments.
+    sx = packed.dir_x[:, None]
+    sy = packed.dir_y[:, None]
+    qpx = packed.start_x[:, None] - px  # (S, P)
+    qpy = packed.start_y[:, None] - py
+    rxs = rx * sy
+    rxs -= ry * sx  # cross(r, s)
+    parallel = np.abs(rxs) < _EPS
+    np.copyto(rxs, 1.0, where=parallel)
+    # Non-parallel branch: solve p + t r = q + u s.
+    t = qpx * sy
+    t -= qpy * sx
+    t /= rxs  # cross(q - p, s) / cross(r, s)
+    u = qpx * ry
+    u -= qpy * rx
+    u /= rxs  # cross(q - p, r) / cross(r, s)
+    hit = t >= -_EPS
+    hit &= t <= 1.0 + _EPS
+    hit &= u >= -_EPS
+    hit &= u <= 1.0 + _EPS
     r_len2 = rx * rx + ry * ry  # (P,)
     degenerate = r_len2 < _EPS * _EPS
-    r_len2_safe = np.where(degenerate, 1.0, r_len2)
-    qpx = packed.start_x[None, :] - px[:, None]  # (P, S)
-    qpy = packed.start_y[None, :] - py[:, None]
-    sx = packed.dir_x[None, :]
-    sy = packed.dir_y[None, :]
-    rxc = rx[:, None]
-    ryc = ry[:, None]
-    rxs = rxc * sy - ryc * sx  # cross(r, s)
-    qp_x_r = qpx * ryc - qpy * rxc  # cross(q - p, r)
-    parallel = np.abs(rxs) < _EPS
-    rxs_safe = np.where(parallel, 1.0, rxs)
-    # Non-parallel branch: solve p + t r = q + u s.
-    t_np = (qpx * sy - qpy * sx) / rxs_safe
-    u_np = qp_x_r / rxs_safe
-    hit_np = (
-        ~parallel
-        & (t_np >= -_EPS)
-        & (t_np <= 1.0 + _EPS)
-        & (u_np >= -_EPS)
-        & (u_np <= 1.0 + _EPS)
-    )
-    # Parallel branch: collinear overlap resolves to the overlap start.
-    collinear = parallel & (np.abs(qp_x_r) <= _EPS)
-    t0 = (qpx * rxc + qpy * ryc) / r_len2_safe[:, None]
-    t1 = t0 + (sx * rxc + sy * ryc) / r_len2_safe[:, None]
-    lo = np.minimum(t0, t1)
-    hi = np.maximum(t0, t1)
-    hit_par = collinear & (hi >= -_EPS) & (lo <= 1.0 + _EPS)
-    t_par = np.maximum(0.0, lo)
-    hit = hit_np | hit_par
+    if parallel.any():
+        # Parallel pairs (rare) replace their hit and t: a collinear
+        # overlap resolves to the overlap start.
+        segs, legs = np.nonzero(parallel)
+        lrx, lry = rx[legs], ry[legs]
+        qx, qy = qpx[segs, legs], qpy[segs, legs]
+        r_len2_safe = np.where(degenerate, 1.0, r_len2)[legs]
+        t0 = (qx * lrx + qy * lry) / r_len2_safe
+        t1 = t0 + (packed.dir_x[segs] * lrx + packed.dir_y[segs] * lry) / r_len2_safe
+        lo = np.minimum(t0, t1)
+        hi = np.maximum(t0, t1)
+        collinear = np.abs(qx * lry - qy * lrx) <= _EPS
+        hit[segs, legs] = collinear & (hi >= -_EPS) & (lo <= 1.0 + _EPS)
+        t[segs, legs] = np.maximum(0.0, lo)
     if exclude_mask is not None:
-        hit &= ~exclude_mask
-    t = np.clip(np.where(parallel, t_par, t_np), 0.0, 1.0)
-    hit_x = px[:, None] + t * rxc
-    hit_y = py[:, None] + t * ryc
-    near_start = (hit_x - px[:, None]) ** 2 + (hit_y - py[:, None]) ** 2 <= endpoint_tol**2
-    near_end = (hit_x - ex[:, None]) ** 2 + (hit_y - ey[:, None]) ** 2 <= endpoint_tol**2
-    blocked = (hit & ~near_start & ~near_end).any(axis=1)
+        exclude = np.asarray(exclude_mask)
+        np.copyto(hit, False, where=exclude.T if exclude.ndim == 2 else exclude[:, None])
+    # Endpoint test on the hits only.
+    segs, legs = np.nonzero(hit)
+    if not len(legs):
+        return blocked
+    lpx, lpy = px[legs], py[legs]
+    tt = np.clip(t[segs, legs], 0.0, 1.0)
+    hit_x = lpx + tt * rx[legs]
+    hit_y = lpy + tt * ry[legs]
+    near_start = (hit_x - lpx) ** 2 + (hit_y - lpy) ** 2 <= endpoint_tol**2
+    near_end = (hit_x - ex[legs]) ** 2 + (hit_y - ey[legs]) ** 2 <= endpoint_tol**2
+    blocked[legs[~(near_start | near_end)]] = True
     return blocked & ~degenerate
 
 

@@ -160,6 +160,36 @@ class RayTracer:
         """
         return pack_segments(self.scene.blocking_segments())
 
+    @cached_property
+    def _wall_masks(self) -> np.ndarray:
+        """Each wall's exclusion mask over the packed blockers (built once).
+
+        Row ``i`` marks the packed segments with wall ``i``'s endpoints
+        (:meth:`SegmentArrays.match_mask`); the extra last row marks none,
+        for a leg end that touches no wall.
+        """
+        packed = self._packed_blockers
+        masks = np.zeros((len(self.scene.walls) + 1, len(packed)), dtype=bool)
+        for row, wall in enumerate(self.scene.walls):
+            masks[row] = packed.match_mask(wall.segment)
+        return masks
+
+    @cached_property
+    def _wall_sequences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Wall indices of every one-bounce and every two-bounce sequence.
+
+        Two-bounce sequences are ordered pairs of distinct segments.
+        """
+        walls = self.scene.walls
+        singles = tuple((i,) for i in range(len(walls)))
+        pairs = tuple(
+            (i, j)
+            for i in range(len(walls))
+            for j in range(len(walls))
+            if not _same_segment(walls[i].segment, walls[j].segment)
+        )
+        return singles, pairs
+
     def leg_is_clear(
         self,
         start: Point,
@@ -184,6 +214,28 @@ class RayTracer:
             start, end, packed, exclude_mask=exclude_mask, endpoint_tol=_ENDPOINT_TOL
         )
 
+    def _legs_clear(
+        self,
+        starts: Sequence[Point],
+        ends: Sequence[Point],
+        exclude: Optional[np.ndarray] = None,
+    ) -> list[bool]:
+        """:meth:`leg_is_clear` of many legs, in one blockage test.
+
+        ``exclude`` is an optional ``(legs, S)`` mask of the packed
+        segments each leg skips.
+        """
+        blocked = legs_blocked_packed(
+            np.array([p.x for p in starts], dtype=float),
+            np.array([p.y for p in starts], dtype=float),
+            np.array([p.x for p in ends], dtype=float),
+            np.array([p.y for p in ends], dtype=float),
+            self._packed_blockers,
+            exclude_mask=exclude,
+            endpoint_tol=_ENDPOINT_TOL,
+        )
+        return (~blocked).tolist()
+
     def has_line_of_sight(self, tx: Point, rx: Point) -> bool:
         """Whether the direct TX->RX path is unobstructed."""
         return self.leg_is_clear(tx, rx)
@@ -203,9 +255,30 @@ class RayTracer:
         """All multipath components from ``tx`` to ``rx``.
 
         Returns LoS (if clear and requested), wall reflections up to
-        ``max_bounces``, and scatterer bounces.  PRESS element paths are not
-        produced here — the PRESS array layer adds them on top (they depend
-        on the array configuration).
+        ``max_bounces``, and scatterer bounces: :meth:`wall_paths` followed
+        by :meth:`scatterer_paths`.  PRESS element paths are not produced
+        here — the PRESS array layer adds them on top (they depend on the
+        array configuration).
+        """
+        paths = self.wall_paths(tx, rx, tx_antenna, rx_antenna, include_los)
+        if include_scatterers:
+            paths.extend(self.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
+        return paths
+
+    def wall_paths(
+        self,
+        tx: Point,
+        rx: Point,
+        tx_antenna: Antenna = IsotropicAntenna(),
+        rx_antenna: Antenna = IsotropicAntenna(),
+        include_los: bool = True,
+    ) -> list[SignalPath]:
+        """LoS (if clear and requested) and wall reflections up to ``max_bounces``.
+
+        The part of :meth:`trace` that no scatterer changes: it reads only
+        the walls, the obstacles, the radio settings, the endpoints and
+        their antennas.  Every leg of every wall sequence is in one
+        blockage test.
         """
         _TRACES.inc()
         paths: list[SignalPath] = []
@@ -213,12 +286,8 @@ class RayTracer:
             los = self.line_of_sight_path(tx, rx, tx_antenna, rx_antenna)
             if los is not None:
                 paths.append(los)
-        if self.max_bounces >= 1:
-            paths.extend(self.single_bounce_paths(tx, rx, tx_antenna, rx_antenna))
-        if self.max_bounces >= 2:
-            paths.extend(self.double_bounce_paths(tx, rx, tx_antenna, rx_antenna))
-        if include_scatterers:
-            paths.extend(self.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
+        sequences = [s for group in self._wall_sequences[: self.max_bounces] for s in group]
+        paths.extend(self._reflections(tx, rx, sequences, tx_antenna, rx_antenna))
         return paths
 
     def line_of_sight_path(
@@ -257,12 +326,8 @@ class RayTracer:
         rx_antenna: Antenna = IsotropicAntenna(),
     ) -> list[SignalPath]:
         """Specular one-bounce wall reflections (image method)."""
-        paths: list[SignalPath] = []
-        for wall in self.scene.walls:
-            path = self._wall_path(tx, rx, [wall], tx_antenna, rx_antenna)
-            if path is not None:
-                paths.append(path)
-        return paths
+        singles = self._wall_sequences[0]
+        return self._reflections(tx, rx, singles, tx_antenna, rx_antenna)
 
     def double_bounce_paths(
         self,
@@ -272,30 +337,66 @@ class RayTracer:
         rx_antenna: Antenna = IsotropicAntenna(),
     ) -> list[SignalPath]:
         """Specular two-bounce wall reflections over ordered wall pairs."""
-        paths: list[SignalPath] = []
-        for first in self.scene.walls:
-            for second in self.scene.walls:
-                if _same_segment(first.segment, second.segment):
-                    continue
-                path = self._wall_path(tx, rx, [first, second], tx_antenna, rx_antenna)
-                if path is not None:
-                    paths.append(path)
-        return paths
+        pairs = self._wall_sequences[1]
+        return self._reflections(tx, rx, pairs, tx_antenna, rx_antenna)
 
-    def _wall_path(
+    def _reflections(
         self,
         tx: Point,
         rx: Point,
-        walls: Sequence[Wall],
+        sequences: Sequence[tuple[int, ...]],
         tx_antenna: Antenna,
         rx_antenna: Antenna,
-    ) -> Optional[SignalPath]:
-        """Specular path bouncing off ``walls`` in order, or ``None``.
+    ) -> list[SignalPath]:
+        """Specular paths off each wall sequence (indices into the walls), in order.
+
+        Each sequence's reflection points come from
+        :meth:`_reflection_points`; the legs of every sequence that has
+        them share one blockage test, each leg skipping the walls it
+        touches; each clear sequence's path is :meth:`_reflection_path`.
+        """
+        walls = self.scene.walls
+        untouched = len(walls)  # the all-clear row of _wall_masks
+        found: list[tuple[tuple[int, ...], list[Point]]] = []
+        starts: list[Point] = []
+        ends: list[Point] = []
+        touched: list[tuple[int, int]] = []
+        for sequence in sequences:
+            vertices = self._reflection_points(tx, rx, [walls[i] for i in sequence])
+            if vertices is None:
+                continue
+            found.append((sequence, vertices))
+            starts.extend(vertices[:-1])
+            ends.extend(vertices[1:])
+            # Leg k leaves wall k - 1 and meets wall k.
+            touched.extend(zip((untouched,) + sequence, sequence + (untouched,)))
+        if not found:
+            return []
+        masks = self._wall_masks
+        index = np.array(touched)
+        clear = self._legs_clear(starts, ends, masks[index[:, 0]] | masks[index[:, 1]])
+        paths: list[SignalPath] = []
+        first = 0
+        for sequence, vertices in found:
+            last = first + len(sequence) + 1
+            if all(clear[first:last]):
+                paths.append(
+                    self._reflection_path(
+                        tx, rx, [walls[i] for i in sequence], vertices, tx_antenna, rx_antenna
+                    )
+                )
+            first = last
+        return paths
+
+    @staticmethod
+    def _reflection_points(tx: Point, rx: Point, walls: Sequence[Wall]) -> Optional[list[Point]]:
+        """``[tx, refl_1, ..., refl_k, rx]`` off ``walls`` in order, or ``None``.
 
         Uses the image method: mirror the source across each wall in
         sequence, then walk back from the receiver to recover the physical
-        reflection points, validating that each lies on its wall segment and
-        each leg is unobstructed.
+        reflection points, validating that each lies on its wall segment.
+        Degenerate geometry (a reflection point on an endpoint, so a
+        zero-length leg) has no path.
         """
         # Forward pass: iterated images of the transmitter.
         images = [tx]
@@ -304,35 +405,31 @@ class RayTracer:
         # Backward pass: recover reflection points.
         vertices = [rx]
         target = rx
-        valid = True
         for index in range(len(walls) - 1, -1, -1):
             wall = walls[index]
             ray = Segment(images[index + 1], target)
             hit = segment_intersection(ray, wall.segment)
             if hit is None or not wall.segment.contains_point(hit, tol=1e-6):
-                valid = False
-                break
+                return None
             vertices.append(hit)
             target = hit
-        if not valid:
-            return None
         vertices.append(tx)
         vertices.reverse()  # tx, refl_1, ..., refl_k, rx
-        # Degenerate geometry (reflection point coincides with an endpoint)
-        # produces zero-length legs; treat as no path.
-        legs = list(zip(vertices[:-1], vertices[1:]))
-        if any(distance(a, b) <= _ENDPOINT_TOL for a, b in legs):
+        if any(distance(a, b) <= _ENDPOINT_TOL for a, b in zip(vertices[:-1], vertices[1:])):
             return None
-        # Blockage: each leg must be clear, ignoring the walls it touches.
-        for leg_index, (start, end) in enumerate(legs):
-            exclude: list[Segment] = []
-            if leg_index > 0:
-                exclude.append(walls[leg_index - 1].segment)
-            if leg_index < len(walls):
-                exclude.append(walls[leg_index].segment)
-            if not self.leg_is_clear(start, end, exclude=exclude):
-                return None
-        total_length = sum(distance(a, b) for a, b in legs)
+        return vertices
+
+    def _reflection_path(
+        self,
+        tx: Point,
+        rx: Point,
+        walls: Sequence[Wall],
+        vertices: Sequence[Point],
+        tx_antenna: Antenna,
+        rx_antenna: Antenna,
+    ) -> SignalPath:
+        """The specular path through ``vertices``, whose legs are all clear."""
+        total_length = sum(distance(a, b) for a, b in zip(vertices[:-1], vertices[1:]))
         reflection = complex(1.0, 0.0)
         for wall in walls:
             reflection *= get_material(wall.material).reflection_coefficient
@@ -360,18 +457,23 @@ class RayTracer:
         tx_antenna: Antenna = IsotropicAntenna(),
         rx_antenna: Antenna = IsotropicAntenna(),
     ) -> list[SignalPath]:
-        """Single-bounce paths via each visible point scatterer."""
+        """Single-bounce paths via each visible point scatterer.
+
+        Every scatterer's two legs share one blockage test; each clear
+        scatterer's path is :meth:`relay_path`'s arithmetic.
+        """
+        scatterers = self.scene.scatterers
+        if not scatterers:
+            return []
+        vias = [scatterer.position for scatterer in scatterers]
+        clear = self._legs_clear([tx] * len(vias) + vias, vias + [rx] * len(vias))
         paths: list[SignalPath] = []
-        for scatterer in self.scene.scatterers:
-            path = self.relay_path(
-                tx,
-                scatterer.position,
-                rx,
-                tx_antenna=tx_antenna,
-                rx_antenna=rx_antenna,
-                relay_gain_dbi=scatterer.gain_dbi,
-                reflectivity=scatterer.reflectivity,
-                kind="scatterer",
+        for scatterer, tx_leg, rx_leg in zip(scatterers, clear, clear[len(vias) :]):
+            if not (tx_leg and rx_leg):
+                continue
+            path = self._relay(
+                tx, scatterer.position, rx, tx_antenna, rx_antenna, None, None,
+                scatterer.gain_dbi, scatterer.reflectivity, 0.0, 0.0, "scatterer",
             )
             if path is not None:
                 paths.append(path)
@@ -411,6 +513,27 @@ class RayTracer:
         """
         if not self.leg_is_clear(tx, via) or not self.leg_is_clear(via, rx):
             return None
+        return self._relay(
+            tx, via, rx, tx_antenna, rx_antenna, relay_antenna_in, relay_antenna_out,
+            relay_gain_dbi, reflectivity, extra_delay_s, extra_phase_rad, kind,
+        )
+
+    def _relay(
+        self,
+        tx: Point,
+        via: Point,
+        rx: Point,
+        tx_antenna: Antenna,
+        rx_antenna: Antenna,
+        relay_antenna_in: Optional[Antenna],
+        relay_antenna_out: Optional[Antenna],
+        relay_gain_dbi: float,
+        reflectivity: complex,
+        extra_delay_s: float,
+        extra_phase_rad: float,
+        kind: str,
+    ) -> Optional[SignalPath]:
+        """:meth:`relay_path` of a relay whose two legs are clear."""
         d1 = distance(tx, via)
         d2 = distance(via, rx)
         aod = (via - tx).angle()
@@ -564,17 +687,19 @@ class _WallGroup:
 
 
 def _wall_group(
-    tx: Point, sequences: Sequence[tuple[Wall, ...]], packed: SegmentArrays
+    tracer: RayTracer, tx: Point, sequences: Sequence[tuple[int, ...]]
 ) -> _WallGroup:
     """Trace the receiver-independent part of same-length wall sequences."""
+    walls = tracer.scene.walls
+    masks = tracer._wall_masks
     hops = len(sequences[0])
     rows = np.zeros((hops, 7, len(sequences)))
     reflection = np.zeros((len(sequences), 1), dtype=complex)
-    exclude = np.zeros((hops + 1, len(sequences), 1, len(packed)), dtype=bool)
-    for q, walls in enumerate(sequences):
+    exclude = np.zeros((hops + 1, len(sequences), 1, masks.shape[1]), dtype=bool)
+    for q, sequence in enumerate(sequences):
         image = tx
         product = complex(1.0, 0.0)
-        for index, wall in enumerate(walls):
+        for index, wall in enumerate(walls[i] for i in sequence):
             seg = wall.segment
             image = mirror_point(image, seg)
             sx, sy = seg.end.x - seg.start.x, seg.end.y - seg.start.y
@@ -582,8 +707,8 @@ def _wall_group(
             product *= get_material(wall.material).reflection_coefficient
         reflection[q] = product
         for leg in range(hops + 1):
-            for wall in walls[max(leg - 1, 0) : leg + 1]:
-                exclude[leg, q, 0] |= packed.match_mask(wall.segment)
+            for i in sequence[max(leg - 1, 0) : leg + 1]:
+                exclude[leg, q, 0] |= masks[i]
     steps = tuple(tuple(step[:, :, None]) for step in rows[::-1])
     return _WallGroup(hops=hops, steps=steps, reflection=reflection, exclude=exclude)
 
@@ -611,11 +736,9 @@ class TraceFrame:
     @cached_property
     def walls(self) -> tuple[_WallGroup, ...]:
         """One traced group per wall-sequence length, up to ``max_bounces``."""
-        walls = self.tracer.scene.walls
-        pairs = [(a, b) for a in walls for b in walls if not _same_segment(a.segment, b.segment)]
-        sequences = [[(wall,) for wall in walls], pairs][: self.tracer.max_bounces]
-        packed = self.tracer._packed_blockers
-        return tuple(_wall_group(self.tx, group, packed) for group in sequences if group)
+        tracer = self.tracer
+        groups = tracer._wall_sequences[: tracer.max_bounces]
+        return tuple(_wall_group(tracer, self.tx, group) for group in groups if group)
 
     @cached_property
     def scatterers(self) -> _Relays:

@@ -6,22 +6,30 @@ fresh :class:`~repro.sdr.testbed.Testbed` per call, and a figure suite run
 back-to-back repeats the same (scene, endpoints) traces many times over.
 
 All the scene types are immutable value dataclasses, so a trace is fully
-determined by the *values* of ``(scene, frequency, max_bounces, tx, rx,
-antennas)`` — that tuple is the cache key (the "scene fingerprint").  Two
-testbeds built from the same placement seed hash to the same key and share
-one trace, across instances and across experiments within a process.
+determined by the *values* it reads, and those values are the cache key
+(the "scene fingerprint").  Two testbeds built from the same placement
+seed hash to the same key and share one trace, across instances and
+across experiments within a process.  Each part of a basis is keyed by
+exactly what it reads, so it is traced once per distinct geometry:
 
-The cache is a bounded LRU; worker processes of the parallel experiment
-runner each hold their own copy (it is per-process state, never pickled).
-Hit/miss/eviction totals are mirrored into the observability registry
-(``em.trace_cache.*``) so the parallel runner can merge complete run-level
-cache statistics across workers.
+* the LoS and wall paths (:meth:`RayTracer.wall_paths`) by the walls,
+  the obstacles, the radio settings, the endpoints and their antennas —
+  scatterers do not change them, so placements of one room share them;
+* the full ambient trace by that plus the scatterers;
+* an element state tensor ``E[n, m, k]`` by the key its builder
+  (:meth:`~repro.core.basis.ChannelBasis.trace_chunked`) passes in.
+
+The cache is a bounded LRU, by entry count and by bytes; worker processes
+of the parallel experiment runner each hold their own copy (it is
+per-process state, never pickled).  Hit/miss/eviction totals are mirrored
+into the observability registry (``em.trace_cache.*``) so the parallel
+runner can merge complete run-level cache statistics across workers.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Optional
 
 import numpy as np
 
@@ -39,6 +47,11 @@ __all__ = ["TraceCache", "configure", "global_trace_cache", "reset"]
 #: endpoints per placement; 4096 comfortably holds several placements.
 DEFAULT_MAXSIZE = 4096
 
+#: Default bound on cached bytes: 64 N = 1024 element tensors (4 MiB
+#: each), so a process that builds many distinct arrays keeps only the
+#: most recent ones.
+DEFAULT_MAX_BYTES = 256 << 20
+
 #: Approximate resident size of one cached :class:`SignalPath`.  The exact
 #: CPython figure varies by version and field values; the budget only needs
 #: the right order of magnitude to keep batch entries (megabytes of packed
@@ -50,6 +63,19 @@ _MISSES = counter_handle("em.trace_cache.misses")
 _EVICTIONS = counter_handle("em.trace_cache.evictions")
 _BATCH_HITS = counter_handle("em.trace_cache.batch_hits")
 _BATCH_MISSES = counter_handle("em.trace_cache.batch_misses")
+_WALL_HITS = counter_handle("em.trace_cache.wall_hits")
+_WALL_MISSES = counter_handle("em.trace_cache.wall_misses")
+_TENSOR_HITS = counter_handle("em.trace_cache.tensor_hits")
+_TENSOR_MISSES = counter_handle("em.trace_cache.tensor_misses")
+#: Per lookup kind: the instance fields and registry counters of its hits
+#: and misses.  Per-link and batched ambient lookups share ``hits`` and
+#: ``misses`` (and so :attr:`TraceCache.hit_rate`).
+_KINDS = {
+    "ambient": ("hits", "misses", _HITS, _MISSES),
+    "batch": ("hits", "misses", _BATCH_HITS, _BATCH_MISSES),
+    "wall": ("wall_hits", "wall_misses", _WALL_HITS, _WALL_MISSES),
+    "tensor": ("tensor_hits", "tensor_misses", _TENSOR_HITS, _TENSOR_MISSES),
+}
 _ENTRIES = gauge_handle("em.trace_cache.entries")
 _BYTES = gauge_handle("em.trace_cache.bytes")
 _HIT_RATE = gauge_handle("em.trace_cache.hit_rate")
@@ -58,10 +84,12 @@ _HIT_RATE = gauge_handle("em.trace_cache.hit_rate")
 def _entry_nbytes(value: object) -> int:
     """Approximate resident bytes of one cached value.
 
-    PathBatch entries are dominated by their packed numpy arrays, which
-    report exact ``nbytes``; scalar path tuples use a fixed per-path
+    Element tensors and PathBatch entries are dominated by numpy arrays,
+    which report exact ``nbytes``; scalar path tuples use a fixed per-path
     estimate (see :data:`_SIGNAL_PATH_NBYTES`).
     """
+    if isinstance(value, np.ndarray):
+        return max(int(value.nbytes), 1)
     if isinstance(value, PathBatch):
         total = 0
         for field in (value.gains, value.delays_s, value.aod_rad, value.aoa_rad, value.valid):
@@ -74,25 +102,33 @@ def _entry_nbytes(value: object) -> int:
 
 
 class TraceCache:
-    """A bounded LRU cache of ambient traces keyed by geometry values.
+    """A bounded LRU cache of traces keyed by geometry values.
 
-    Keys combine the tracer's scene fingerprint (the scene value itself —
-    an immutable dataclass hashing by field values) with its radio
-    parameters and the endpoint positions/antennas.  Values are the packed
-    ``tuple[SignalPath, ...]`` of :meth:`RayTracer.trace` — or, for the
-    batched entry point, the :class:`~repro.em.paths.PathBatch` of
-    :meth:`RayTracer.trace_batch` keyed by the raw coordinate bytes.
+    Keys combine scene values (immutable dataclasses hashing by field
+    values) with the tracer's radio parameters and the endpoint
+    positions/antennas.  Four kinds of entry share one LRU and one budget:
 
-    ``hits``/``misses``/``evictions`` count per-instance; the same events
-    are mirrored into the global metrics registry under
-    ``em.trace_cache.*`` so run records see totals across all instances
-    and worker processes.
+    * the ``tuple[SignalPath, ...]`` of :meth:`RayTracer.trace`
+      (:meth:`get_or_trace`);
+    * its LoS and wall part, :meth:`RayTracer.wall_paths`, which
+      :meth:`get_or_trace` looks up on a miss;
+    * the :class:`~repro.em.paths.PathBatch` of
+      :meth:`TraceFrame.trace_batch`, keyed by the raw coordinate bytes
+      (:meth:`get_or_trace_batch`);
+    * read-only element state tensors (:meth:`get_or_build_tensor`).
+
+    ``hits``/``misses`` count per-instance :meth:`get_or_trace` and
+    :meth:`get_or_trace_batch` lookups, ``wall_hits``/``wall_misses`` and
+    ``tensor_hits``/``tensor_misses`` the other two kinds, and
+    ``evictions`` entries of any kind.  The same events are mirrored into
+    the global metrics registry under ``em.trace_cache.*`` so run records
+    see totals across all instances and worker processes.
     """
 
     def __init__(
         self,
         maxsize: int = DEFAULT_MAXSIZE,
-        max_bytes: Optional[int] = None,
+        max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
     ) -> None:
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
@@ -105,6 +141,10 @@ class TraceCache:
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
+        self.wall_hits = 0
+        self.wall_misses = 0
+        self.tensor_hits = 0
+        self.tensor_misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -117,16 +157,19 @@ class TraceCache:
         return self.hits / total if total else 0.0
 
     @staticmethod
-    def key(
+    def wall_key(
         tracer: "RayTracer",
         tx: Point,
         rx: Point,
         tx_antenna: Antenna,
         rx_antenna: Antenna,
     ) -> Hashable:
-        """The scene-fingerprint cache key for one trace."""
+        """The cache key of one trace's LoS and wall paths: no scatterers."""
+        scene = tracer.scene
         return (
-            tracer.scene,
+            "walls",
+            scene.walls,
+            scene.obstacles,
             tracer.frequency_hz,
             tracer.max_bounces,
             tx,
@@ -177,15 +220,22 @@ class TraceCache:
         _ENTRIES.set(len(self._entries))
         _BYTES.set(self.current_bytes)
 
-    def _record_hit(self, mirror) -> None:
-        self.hits += 1
-        mirror.inc()
-        _HIT_RATE.set(self.hit_rate)
+    def _lookup(self, key: Hashable, kind: str) -> object:
+        """The entry under ``key``, promoted to most recent, or ``None``.
 
-    def _record_miss(self, mirror) -> None:
-        self.misses += 1
-        mirror.inc()
+        Counts a hit or a miss of ``kind`` (see :data:`_KINDS`).
+        """
+        hit_field, miss_field, hit_counter, miss_counter = _KINDS[kind]
+        cached = self._entries.get(key)
+        if cached is None:
+            setattr(self, miss_field, getattr(self, miss_field) + 1)
+            miss_counter.inc()
+        else:
+            self._entries.move_to_end(key)
+            setattr(self, hit_field, getattr(self, hit_field) + 1)
+            hit_counter.inc()
         _HIT_RATE.set(self.hit_rate)
+        return cached
 
     def get_or_trace(
         self,
@@ -195,17 +245,42 @@ class TraceCache:
         tx_antenna: Antenna,
         rx_antenna: Antenna,
     ) -> tuple[SignalPath, ...]:
-        """The cached trace for these values, tracing on first request."""
-        key = self.key(tracer, tx, rx, tx_antenna, rx_antenna)
-        cached = self._entries.get(key)
+        """The cached trace for these values, tracing on first request.
+
+        A miss takes the LoS and wall paths from their own entry, keyed
+        without the scatterers (tracing them on its first request), and
+        traces the scatterer paths after them: the same tuple, in the
+        same order, as :meth:`RayTracer.trace`.
+        """
+        wall_key = self.wall_key(tracer, tx, rx, tx_antenna, rx_antenna)
+        key = (wall_key, tracer.scene.scatterers)
+        cached = self._lookup(key, "ambient")
         if cached is not None:
-            self._entries.move_to_end(key)
-            self._record_hit(_HITS)
             return cached  # type: ignore[return-value]
-        self._record_miss(_MISSES)
-        paths = tuple(tracer.trace(tx, rx, tx_antenna, rx_antenna))
+        walls = self._lookup(wall_key, "wall")
+        if walls is None:
+            walls = tuple(tracer.wall_paths(tx, rx, tx_antenna, rx_antenna))
+            self._store(wall_key, walls)
+        paths = walls + tuple(tracer.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
         self._store(key, paths)
-        return paths
+        return paths  # type: ignore[return-value]
+
+    def get_or_build_tensor(
+        self, key: Hashable, build: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """The element state tensor under ``key``, built on first request.
+
+        The builder owns the key, which must hold every value ``build``
+        reads.  The array is stored read-only, so the bases sharing it
+        cannot write to one another's tensor.
+        """
+        cached = self._lookup(key, "tensor")
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        tensor = build()
+        tensor.setflags(write=False)
+        self._store(key, tensor)
+        return tensor
 
     def get_or_trace_batch(
         self,
@@ -228,12 +303,9 @@ class TraceCache:
         ones, since one batch stands in for hundreds of point traces.
         """
         key = self.batch_key(tracer, tx, rx_points, tx_antenna, rx_antenna)
-        cached = self._entries.get(key)
+        cached = self._lookup(key, "batch")
         if cached is not None:
-            self._entries.move_to_end(key)
-            self._record_hit(_BATCH_HITS)
             return cached  # type: ignore[return-value]
-        self._record_miss(_BATCH_MISSES)
         if frame is None:
             frame = tracer.frame(tx, tx_antenna)
         batch = frame.trace_batch(rx_points, rx_antenna)
@@ -248,6 +320,10 @@ class TraceCache:
         """
         self.hits = 0
         self.misses = 0
+        self.wall_hits = 0
+        self.wall_misses = 0
+        self.tensor_hits = 0
+        self.tensor_misses = 0
         self.evictions = 0
         _HIT_RATE.set(0.0)
 
@@ -270,7 +346,7 @@ def global_trace_cache() -> TraceCache:
 
 
 def configure(
-    maxsize: int = DEFAULT_MAXSIZE, max_bytes: Optional[int] = None
+    maxsize: int = DEFAULT_MAXSIZE, max_bytes: Optional[int] = DEFAULT_MAX_BYTES
 ) -> TraceCache:
     """Replace the process-wide cache with a freshly sized, empty one.
 

@@ -10,6 +10,7 @@ from repro.em.geometry import Point
 from repro.em.raytracer import RayTracer
 from repro.em.scene import shoebox_scene
 from repro.em.trace_cache import (
+    DEFAULT_MAX_BYTES,
     DEFAULT_MAXSIZE,
     TraceCache,
     configure,
@@ -34,7 +35,8 @@ def _points(n):
 
 def test_hit_promotes_entry_to_most_recent():
     tracer = _tracer()
-    cache = TraceCache(maxsize=2)
+    # A first trace stores two entries, its wall part and the full trace.
+    cache = TraceCache(maxsize=3)
     antenna = IsotropicAntenna()
     tx = Point(2.0, 2.0)
     hot, cold, third = _points(3)
@@ -45,7 +47,7 @@ def test_hit_promotes_entry_to_most_recent():
     # evict `cold`, not `hot`.
     cache.get_or_trace(tracer, tx, hot, antenna, antenna)
     cache.get_or_trace(tracer, tx, third, antenna, antenna)
-    assert cache.evictions == 1
+    assert cache.evictions == 3  # hot's wall part, cold's, then cold
 
     cache.get_or_trace(tracer, tx, hot, antenna, antenna)
     assert cache.hits == 2  # hot survived
@@ -91,8 +93,8 @@ def test_byte_budget_evicts_lru_until_under_budget():
     cache = TraceCache(maxsize=100, max_bytes=2 * per_entry)
     for point in _points(4):
         cache.get_or_trace(tracer, tx, point, antenna, antenna)
-    assert len(cache) == 2
-    assert cache.evictions == 2
+    assert len(cache) == 4  # two traces, each a wall part and a full trace
+    assert cache.evictions == 4
     assert cache.current_bytes <= cache.max_bytes
     snap = global_registry().snapshot()
     assert snap.gauges["em.trace_cache.bytes"] == cache.current_bytes
@@ -157,7 +159,7 @@ def test_configure_rebinds_global_cache():
     restored = reset()
     assert global_trace_cache() is restored
     assert restored.maxsize == DEFAULT_MAXSIZE
-    assert restored.max_bytes is None
+    assert restored.max_bytes == DEFAULT_MAX_BYTES
 
 
 def test_reset_clears_previous_global_entries():
@@ -165,7 +167,7 @@ def test_reset_clears_previous_global_entries():
     antenna = IsotropicAntenna()
     cache = configure(maxsize=16)
     cache.get_or_trace(tracer, Point(2.0, 2.0), _points(1)[0], antenna, antenna)
-    assert len(cache) == 1
+    assert len(cache) == 2  # the wall part and the full trace
     trace_cache_module.reset()
     # The old instance was drained, so stale references hold no arrays.
     assert len(cache) == 0
