@@ -232,17 +232,6 @@ class LintContext:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self._parents.get(id(node))
 
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        """The innermost function/lambda containing ``node``, if any."""
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                return current
-            current = self.parent(current)
-        return None
-
     def at_module_level(self, node: ast.AST) -> bool:
         """True when ``node`` is outside every function and class body."""
         current = self.parent(node)

@@ -29,7 +29,7 @@ Commands
     with per-metric tolerances (``--keys-only`` for the CI structural
     check).
 ``profile-sweep``
-    cProfile one Figure-4 configuration sweep (basis or legacy mode).
+    cProfile one Figure-4 configuration sweep.
 ``report``
     Render run records (JSONL emitted via ``--record``): per-phase
     wall-clock and counter breakdown, schema-validated.
@@ -709,9 +709,7 @@ def _cmd_profile_sweep(args: argparse.Namespace) -> int:
     # Warm the caches outside the profile so the report shows steady-state
     # sweep cost, not one-off tracing (pass --cold to include it).
     if not args.cold:
-        testbed.environment_paths(setup.tx_device, setup.rx_device)
-        if args.mode == "basis":
-            testbed.basis_for(setup.tx_device, setup.rx_device)
+        testbed.basis_for(setup.tx_device, setup.rx_device)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     profiler = cProfile.Profile()
     profiler.enable()
@@ -720,14 +718,12 @@ def _cmd_profile_sweep(args: argparse.Namespace) -> int:
         setup.rx_device,
         repetitions=args.repetitions,
         rng=rng,
-        mode=args.mode,
     )
     profiler.disable()
     space = testbed.array.configuration_space()
     print(
         f"one Fig. 4 sweep: {testbed.array.num_elements} elements, "
-        f"{space.size} configurations, {args.repetitions} repetitions, "
-        f"mode={args.mode}"
+        f"{space.size} configurations, {args.repetitions} repetitions"
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(20)
@@ -1136,7 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--placement", type=int, default=2)
     profile.add_argument("--repetitions", type=int, default=10)
-    profile.add_argument("--mode", choices=("basis", "legacy"), default="basis")
     profile.add_argument(
         "--seed",
         type=int,

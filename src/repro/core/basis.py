@@ -11,10 +11,11 @@ where ``H_0`` is the ambient (configuration-independent) response and
 ``E_n(f; m)`` is element ``n``'s two-hop TX → element → RX contribution in
 state ``m`` — blockage, distances, antenna gains and the waveguide-stub's
 delay dispersion folded in.  Geometry therefore needs to be traced exactly
-once: the ambient paths via :meth:`RayTracer.trace` plus one two-hop relay
-path per (element, state).  After that, *any* configuration's CFR is a
-gather + sum over the precomputed state tensor, and the whole M^N sweep
-evaluates as a single vectorized numpy operation.
+once: the ambient paths plus every element's two-hop geometry, one
+:meth:`TraceFrame.relay_geometry` broadcast over the array, with each state
+folded in as a scale and a dispersion phasor.  After that, *any*
+configuration's CFR is a gather + sum over the precomputed state tensor, and
+the whole M^N sweep evaluates as a single vectorized numpy operation.
 
 The decomposition is exact for passive arrays because a passive element
 re-radiates the incident field scaled by its own Γ only; it ignores the
@@ -59,7 +60,7 @@ __all__ = [
     "SearchSpaceTooLarge",
     "StateTensorBudgetExceeded",
     "MAX_ENUMERABLE_CONFIGS",
-    "DEFAULT_STATE_TENSOR_BUDGET_BYTES",
+    "STATE_TENSOR_BUDGET_BYTES",
     "element_frame",
     "state_tensor_nbytes",
     "exhaustive_argmax",
@@ -100,9 +101,14 @@ MAX_ENUMERABLE_CONFIGS = 1 << 20
 #: subcarriers of complex128 is ~16 MB); bigger spaces stay lazy.
 WARM_ENUMERATION_LIMIT = 1 << 14
 
-#: Default cap on the E[n, m, k] state-tensor allocation (512 MiB holds
+#: Cap on the E[n, m, k] state-tensor allocation (512 MiB holds
 #: N=65536 elements x 8 states x 64 subcarriers of complex128).
-DEFAULT_STATE_TENSOR_BUDGET_BYTES = 512 * 1024 * 1024
+STATE_TENSOR_BUDGET_BYTES = 512 * 1024 * 1024
+
+#: Elements per state-fold broadcast of :meth:`ChannelBasis.trace_chunked`,
+#: which bounds its per-chunk temporaries.  Every chunk size gives the same
+#: bytes, so the tensor's cache key leaves it out.
+_ELEMENT_CHUNK = 256
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -172,7 +178,6 @@ def _element_tensor_key(
     by_states: dict,
     num_subcarriers: int,
     bandwidth_hz: float,
-    element_chunk: int,
 ) -> tuple:
     """The trace-cache key of :func:`_element_tensor`: every value it reads.
 
@@ -199,7 +204,6 @@ def _element_tensor_key(
         tuple((states, rows.tobytes()) for states, rows in by_states.items()),
         num_subcarriers,
         bandwidth_hz,
-        element_chunk,
     )
 
 
@@ -212,7 +216,6 @@ def _element_tensor(
     rx_antenna: Antenna,
     by_states: dict,
     freqs: np.ndarray,
-    element_chunk: int,
 ) -> np.ndarray:
     """``E[n, m, k]`` of :meth:`ChannelBasis.trace_chunked`.
 
@@ -252,9 +255,9 @@ def _element_tensor(
     # One broadcast per (chunk, state set): each live element's
     # carrier phase, propagation-delay phasor and state fold, in the
     # per-element order of operations.
-    for start in range(0, num_elements, element_chunk):
+    for start in range(0, num_elements, _ELEMENT_CHUNK):
         for live_rows, gamma, extra_phasor in folds:
-            rows = live_rows[(live_rows >= start) & (live_rows < start + element_chunk)]
+            rows = live_rows[(live_rows >= start) & (live_rows < start + _ELEMENT_CHUNK)]
             if not len(rows):
                 continue
             totals = all_totals[rows]
@@ -362,77 +365,6 @@ class ChannelBasis:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def trace(
-        cls,
-        array: PressArray,
-        tx: Point,
-        rx: Point,
-        tracer: RayTracer,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        num_subcarriers: int = NUM_SUBCARRIERS,
-        bandwidth_hz: float = BANDWIDTH_HZ,
-        environment_paths: Optional[Sequence[SignalPath]] = None,
-    ) -> "ChannelBasis":
-        """Trace the geometry once and build the basis.
-
-        ``environment_paths`` lets a caller reuse already-traced ambient
-        paths (e.g. the testbed's environment cache); when ``None`` the
-        ambient multipath is traced here.
-        """
-        _BASES_TRACED.inc()
-        freqs = subcarrier_frequencies(num_subcarriers, bandwidth_hz)
-        if environment_paths is None:
-            environment_paths = tracer.trace(tx, rx, tx_antenna, rx_antenna)
-        gains, delays, _ = path_arrays(environment_paths)
-        space = array.configuration_space()
-        max_states = max(space.state_counts)
-        tensor = np.zeros(
-            (array.num_elements, max_states, num_subcarriers), dtype=complex
-        )
-        carrier = tracer.frequency_hz
-        for n, element in enumerate(array.elements):
-            for m, state in enumerate(element.states):
-                if state.is_terminated:
-                    continue
-                # Split Gamma(f) exactly as PressArray.element_paths does:
-                # magnitude + fixed phase -> reflectivity; the stub's
-                # carrier phase -> extra phase; its dispersion -> delay.
-                stub_carrier_phase = (
-                    -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
-                )
-                reflectivity = state.magnitude * complex(
-                    math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
-                )
-                path = tracer.relay_path(
-                    tx,
-                    element.position,
-                    rx,
-                    tx_antenna=tx_antenna,
-                    rx_antenna=rx_antenna,
-                    relay_antenna_in=element.antenna,
-                    relay_antenna_out=element.antenna,
-                    reflectivity=reflectivity,
-                    extra_delay_s=state.extra_delay_s,
-                    extra_phase_rad=stub_carrier_phase,
-                    kind="press-element",
-                )
-                if path is None:
-                    continue
-                tensor[n, m] = path.gain * np.exp(
-                    -2.0j * np.pi * freqs * path.delay_s
-                )
-        return cls(
-            space=space,
-            frequencies_hz=freqs,
-            ambient_gains=gains,
-            ambient_delays=delays,
-            state_tensor=tensor,
-            num_subcarriers=num_subcarriers,
-            bandwidth_hz=bandwidth_hz,
-        )
-
-    @classmethod
     def trace_batch(
         cls,
         array: PressArray,
@@ -448,15 +380,16 @@ class ChannelBasis:
     ) -> list["ChannelBasis"]:
         """One basis per receiver point, traced with the batched geometry.
 
-        The batched twin of :meth:`trace`, for position sweeps and moving
-        users: ambient multipath comes from :meth:`TraceFrame.trace_batch`,
-        every element's two-hop geometry for all P points is one
-        :meth:`TraceFrame.relay_geometry` broadcast, and each state set's
-        reflectivities and stub phases fold in over all its elements.
-        Per-point results match :meth:`trace` to machine precision (same
-        op order throughout), so ambient path counts — and therefore
-        drift-draw counts — are identical to the scalar route.  ``ambient``
-        and ``frame`` (an :func:`element_frame` of ``tx``) reuse earlier work.
+        The many-receiver form of :meth:`trace_chunked`, for position
+        sweeps and moving users: ambient multipath comes from
+        :meth:`TraceFrame.trace_batch`, every element's two-hop geometry for
+        all P points is one :meth:`TraceFrame.relay_geometry` broadcast, and
+        each state set's reflectivities and stub phases fold in over all its
+        elements.  Per-point results match :meth:`trace_chunked` to machine
+        precision, and the ambient batch keeps the scalar tracer's paths
+        one for one, so drift-draw counts are the same on both routes.
+        ``ambient`` and ``frame`` (an :func:`element_frame` of ``tx``) reuse
+        earlier work.
         """
         if frame is None:
             frame = element_frame(array, tracer, tx, tx_antenna)
@@ -525,28 +458,26 @@ class ChannelBasis:
         num_subcarriers: int = NUM_SUBCARRIERS,
         bandwidth_hz: float = BANDWIDTH_HZ,
         environment_paths: Optional[Sequence[SignalPath]] = None,
-        element_chunk: int = 256,
-        memory_budget_bytes: Optional[int] = DEFAULT_STATE_TENSOR_BUDGET_BYTES,
     ) -> "ChannelBasis":
-        """Large-array basis construction: chunked, budgeted, state-vectorized.
+        """Trace one TX/RX pair's geometry once and build its basis.
 
-        The wall-sized twin of :meth:`trace`.  Geometry (distances,
+        The one builder of a single-receiver basis.  Geometry (distances,
         blockage, antenna gains) is one :meth:`TraceFrame.relay_geometry`
-        broadcast over every element — not one trace per (element, state)
-        as the scalar path does — and every state's reflectivity, stub
-        phase and stub dispersion fold in as one broadcast per chunk and
-        state set, with per-state-set constants shared across elements.
-        Blocked and zero-amplitude elements keep zero rows.
-        Agrees with :meth:`trace` to <=1e-9 (the stub phasor is factored
-        out of the per-subcarrier exponential; the math is identical, the
-        op order differs only in that split).
+        broadcast over every element, and every state's reflectivity, stub
+        phase and stub dispersion fold in as one broadcast per
+        :data:`_ELEMENT_CHUNK` elements and state set, with per-state-set
+        constants shared across elements.  Blocked and zero-amplitude
+        elements keep zero rows.  Each row agrees with the element's
+        two-hop :meth:`RayTracer.relay_path` (the per-path route of
+        :meth:`PressArray.element_paths`) to machine precision.
+        ``environment_paths`` lets a caller reuse already-traced ambient
+        paths (e.g. the testbed's environment cache); when ``None`` the
+        ambient multipath is traced here.
 
-        The state tensor is assembled ``element_chunk`` elements at a time
-        so the per-chunk temporaries stay bounded, and the full
-        ``E[n, m, k]`` allocation is checked against
-        ``memory_budget_bytes`` up front (``None`` disables the check),
-        raising :class:`StateTensorBudgetExceeded` before any allocation
-        instead of OOM-ing mid-build.  Nothing here ever touches the M^N
+        The full ``E[n, m, k]`` allocation is checked against
+        :data:`STATE_TENSOR_BUDGET_BYTES` up front, raising
+        :class:`StateTensorBudgetExceeded` before anything is traced instead
+        of OOM-ing mid-build.  Nothing here ever touches the M^N
         configuration table.
 
         The tensor comes from the process-wide trace cache
@@ -555,17 +486,15 @@ class ChannelBasis:
         bases of one array between one pair of endpoints in one opaque
         geometry share one read-only tensor, whatever their scatterers.
         """
-        if element_chunk <= 0:
-            raise ValueError(f"element_chunk must be positive, got {element_chunk}")
         space = array.configuration_space()
         max_states = max(space.state_counts)
         needed = state_tensor_nbytes(array.num_elements, max_states, num_subcarriers)
-        if memory_budget_bytes is not None and needed > memory_budget_bytes:
+        if needed > STATE_TENSOR_BUDGET_BYTES:
             raise StateTensorBudgetExceeded(
                 f"state tensor E[{array.num_elements}, {max_states}, "
                 f"{num_subcarriers}] needs {needed} bytes "
-                f"(> memory_budget_bytes = {memory_budget_bytes}); raise the "
-                "budget explicitly or reduce the array/subcarrier count"
+                f"(> STATE_TENSOR_BUDGET_BYTES = {STATE_TENSOR_BUDGET_BYTES}); "
+                "reduce the array/subcarrier count"
             )
         _BASES_TRACED.inc()
         freqs = subcarrier_frequencies(num_subcarriers, bandwidth_hz)
@@ -575,12 +504,12 @@ class ChannelBasis:
         by_states = rows_by_value([e.states for e in array.elements])
         key = _element_tensor_key(
             array, tracer, tx, rx, tx_antenna, rx_antenna, by_states,
-            num_subcarriers, bandwidth_hz, element_chunk,
+            num_subcarriers, bandwidth_hz,
         )
         tensor = global_trace_cache().get_or_build_tensor(
             key,
             lambda: _element_tensor(
-                array, tracer, tx, rx, tx_antenna, rx_antenna, by_states, freqs, element_chunk
+                array, tracer, tx, rx, tx_antenna, rx_antenna, by_states, freqs
             ),
         )
         return cls(

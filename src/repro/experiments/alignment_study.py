@@ -20,11 +20,9 @@ import numpy as np
 
 from ..constants import dbm_to_watts, thermal_noise_power_w
 from ..core.configuration import ArrayConfiguration
-from ..em.channel import subcarrier_frequencies
 from ..em.geometry import Point
-from ..em.paths import paths_to_cfr
 from ..net.alignment import mean_alignment_cosine, post_nulling_inr_db
-from ..sdr.device import usrp_x310, warp_v3
+from ..sdr.device import SdrDevice, usrp_x310, warp_v3
 from ..sdr.testbed import Testbed
 from .common import StudyConfig, build_study_scene, used_subcarrier_mask
 from ..em.scene import blocker_between
@@ -32,7 +30,12 @@ from ..core.array import PressArray
 from ..core.element import omni_element
 from ..em.geometry import points_on_grid
 
-__all__ = ["AlignmentResult", "run_alignment_study"]
+__all__ = [
+    "AlignmentResult",
+    "build_alignment_setup",
+    "interference_vectors",
+    "run_alignment_study",
+]
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,30 @@ class AlignmentResult:
         )
 
 
-def run_alignment_study(
+def interference_vectors(
+    testbed: Testbed,
+    ap: SdrDevice,
+    receiver: SdrDevice,
+    configuration: ArrayConfiguration,
+) -> np.ndarray:
+    """(subcarriers, receiver chains) interference channel from ``ap``'s first chain."""
+    vectors = np.zeros((testbed.num_subcarriers, receiver.num_chains), dtype=complex)
+    for chain in range(receiver.num_chains):
+        vectors[:, chain] = testbed.basis_for(ap, receiver, 0, chain).cfr(configuration)
+    return vectors
+
+
+def build_alignment_setup(
     placement_seed: int = 0,
     config: StudyConfig = StudyConfig(),
     element_gain_dbi: float = 2.0,
-) -> AlignmentResult:
-    """Sweep the array, measuring alignment at a 2-antenna bystander.
+) -> tuple[Testbed, tuple[SdrDevice, SdrDevice], SdrDevice]:
+    """The alignment scene: its testbed, the two interfering APs, the bystander.
 
-    Geometry: the two interfering APs stand at the study's TX/RX positions;
-    the bystander (a 2-chain USRP X310) sits across the room with three
-    PRESS elements deployed nearby (the §2 guidance to "focus the search in
-    the vicinity of intended receivers").
+    The two interfering APs stand at the study's TX/RX positions; the
+    bystander (a 2-chain USRP X310) sits across the room with three PRESS
+    elements deployed nearby (the §2 guidance to "focus the search in the
+    vicinity of intended receivers").
     """
     rng = np.random.default_rng(placement_seed)
     clutter_rng = np.random.default_rng([placement_seed, 77])
@@ -118,40 +134,33 @@ def run_alignment_study(
             for i, p in enumerate(element_positions)
         ]
     )
-    testbed = Testbed(scene=scene, array=array)
+    return Testbed(scene=scene, array=array), (ap1, ap2), bystander
+
+
+def run_alignment_study(
+    placement_seed: int = 0,
+    config: StudyConfig = StudyConfig(),
+    element_gain_dbi: float = 2.0,
+) -> AlignmentResult:
+    """Sweep the array, measuring alignment at a 2-antenna bystander."""
+    testbed, (ap1, ap2), bystander = build_alignment_setup(
+        placement_seed, config, element_gain_dbi
+    )
+    array = testbed.array
     mask = used_subcarrier_mask()
-    freqs = subcarrier_frequencies(testbed.num_subcarriers, testbed.bandwidth_hz)
     num_sc = testbed.num_subcarriers
     interferer_power = dbm_to_watts(config.tx_power_dbm) / num_sc
     noise_power = thermal_noise_power_w(
         testbed.bandwidth_hz / num_sc, bystander.noise_figure_db
     )
 
-    def interference_vectors(
-        ap, configuration: ArrayConfiguration
-    ) -> np.ndarray:
-        """(used subcarriers, 2 antennas) interference channel from one AP."""
-        vectors = np.zeros((num_sc, bystander.num_chains), dtype=complex)
-        for chain in range(bystander.num_chains):
-            env = testbed.environment_paths(ap, bystander, 0, chain)
-            press = array.element_paths(
-                configuration,
-                ap.position,
-                bystander.chains[chain].position,
-                testbed.tracer,
-                ap.chains[0].antenna,
-                bystander.chains[chain].antenna,
-            )
-            vectors[:, chain] = paths_to_cfr(list(env) + press, freqs)
-        return vectors[mask]
-
     space = array.configuration_space()
     alignments = []
     residuals = []
     labels = []
     for configuration in space.all_configurations():
-        h1 = interference_vectors(ap1, configuration)
-        h2 = interference_vectors(ap2, configuration)
+        h1 = interference_vectors(testbed, ap1, bystander, configuration)[mask]
+        h2 = interference_vectors(testbed, ap2, bystander, configuration)[mask]
         alignments.append(mean_alignment_cosine(h1, h2))
         inrs = [
             post_nulling_inr_db(a, b, interferer_power, noise_power)

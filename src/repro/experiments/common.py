@@ -467,9 +467,8 @@ def build_large_array_setup(
     elements, where the M^N space cannot be enumerated and search must
     scale with elements touched.
 
-    The testbed automatically routes basis construction through the
-    chunked large-array path, and ``pick_searcher``/``search_basis``
-    select the delta-powered searchers; calling ``testbed.sweep`` (an
+    ``pick_searcher``/``search_basis`` select the delta-powered
+    searchers; calling ``testbed.sweep`` (an
     exhaustive enumeration) on such a setup raises
     :class:`~repro.core.basis.SearchSpaceTooLarge` by design.
 

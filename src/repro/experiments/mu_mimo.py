@@ -18,9 +18,7 @@ import numpy as np
 
 from ..constants import dbm_to_watts, thermal_noise_power_w
 from ..core.configuration import ArrayConfiguration
-from ..em.channel import subcarrier_frequencies
 from ..em.geometry import Point
-from ..em.paths import paths_to_cfr
 from ..mimo.channel_matrix import condition_numbers_db
 from ..mimo.precoding import zero_forcing_precoder
 from ..sdr.device import SdrDevice, warp_v3
@@ -36,25 +34,20 @@ def mu_mimo_matrices(
     clients: Sequence[SdrDevice],
     configuration: ArrayConfiguration,
 ) -> np.ndarray:
-    """Per-subcarrier multi-user downlink channel, shape (sc, users, tx)."""
+    """Per-subcarrier multi-user downlink channel, shape (sc, users, tx).
+
+    Each entry is its (AP chain, client) pair's channel basis evaluated at
+    ``configuration``.
+    """
     if len(clients) == 0:
         raise ValueError("need at least one client")
-    freqs = subcarrier_frequencies(testbed.num_subcarriers, testbed.bandwidth_hz)
     h = np.zeros(
         (testbed.num_subcarriers, len(clients), ap.num_chains), dtype=complex
     )
     for user, client in enumerate(clients):
         for tx_chain in range(ap.num_chains):
-            env = testbed.environment_paths(ap, client, tx_chain, 0)
-            press = testbed.array.element_paths(
-                configuration,
-                ap.chains[tx_chain].position,
-                client.chains[0].position,
-                testbed.tracer,
-                ap.chains[tx_chain].antenna,
-                client.chains[0].antenna,
-            )
-            h[:, user, tx_chain] = paths_to_cfr(list(env) + press, freqs)
+            basis = testbed.basis_for(ap, client, tx_chain, 0)
+            h[:, user, tx_chain] = basis.cfr(configuration)
     return h
 
 

@@ -222,17 +222,6 @@ class HistogramState:
         )
 
 
-def _empty_state(edges: Tuple[float, ...]) -> HistogramState:
-    return HistogramState(
-        edges=edges,
-        counts=tuple([0] * (len(edges) + 1)),
-        count=0,
-        sum=0.0,
-        min=math.inf,
-        max=-math.inf,
-    )
-
-
 class Histogram:
     """A bounded histogram over fixed log-spaced bins.
 

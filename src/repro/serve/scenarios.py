@@ -167,10 +167,9 @@ def build_session(spec: ScenarioSpec) -> ScenarioSession:
     """Build the hot session for one scenario spec.
 
     This is the expensive, once-per-scenario step: scene construction,
-    placement, and the full basis trace (routed through the chunked
-    tracer for large arrays by ``Testbed.basis_for``).  The basis is
-    warmed — its lazy caches materialized — before the session is
-    published, so concurrent request handlers only ever read it.
+    placement, and the full basis trace (``Testbed.basis_for``).  The
+    basis is warmed — its lazy caches materialized — before the session
+    is published, so concurrent request handlers only ever read it.
     """
     if spec.kind == "nlos":
         setup = build_nlos_setup(spec.placement)

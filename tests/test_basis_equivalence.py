@@ -1,13 +1,17 @@
-"""Fast path vs legacy: the channel basis must be numerically exact.
+"""The channel basis against the per-path composition it replaces.
 
 The basis sweep engine (``repro.core.basis``) exploits Γ-linearity —
 ``H(f; c) = H0(f) + sum_n E[n, c_n]`` — which is exact for passive
 elements with no element–element rescattering, i.e. exactly the physics
-the per-path route models.  These tests pin that equivalence: identical
-seeds must give identical sweeps (drift and estimation noise included) to
-within 1e-9, across LoS and NLoS scenes and across terminated and
-reflective element states, and the vectorized exhaustive search must
-return the same argmax as the measurement-backed one.
+the per-path route models.  ``Testbed.channel`` and ``measure_csi`` keep
+that route (ambient paths plus one ``element_paths`` relay per element);
+the references below compose sweeps and MIMO matrices from it, one
+sounding at a time.  Identical seeds must give identical sweeps (drift
+and estimation noise included) to within 1e-9, across LoS and NLoS
+scenes and across terminated and reflective element states; the
+vectorized exhaustive search must return the same argmax as the
+measurement-backed one; and the MIMO, MU-MIMO and alignment matrices and
+every basis tensor must agree to 1e-12 relative.
 """
 
 import numpy as np
@@ -17,8 +21,11 @@ from repro.core import (
     ArrayConfiguration,
     ExhaustiveSearch,
     MeanSnrObjective,
+    PressArray,
     exhaustive_argmax,
+    parabolic_element,
 )
+from repro.em.geometry import Point
 from repro.experiments import (
     StudyConfig,
     build_los_setup,
@@ -26,65 +33,87 @@ from repro.experiments import (
     build_nlos_setup,
     used_subcarrier_mask,
 )
+from repro.experiments.alignment_study import build_alignment_setup, interference_vectors
+from repro.experiments.mu_mimo import mu_mimo_matrices
+from repro.sdr.device import warp_v3
+from repro.sdr.testbed import Testbed
+
+from .basis_reference import reference_basis
 
 ATOL = 1e-9
+RTOL = 1e-12
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    """``got`` matches ``want`` to RTOL of ``want``'s largest magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def _measured_sweep(testbed, tx, rx, repetitions, rng=None) -> np.ndarray:
+    """The sweep as one ``measure_csi`` per configuration and repetition."""
+    configurations = testbed.configurations
+    snr = np.empty((repetitions, len(configurations), testbed.num_subcarriers))
+    for rep in range(repetitions):
+        for index, configuration in enumerate(configurations):
+            snr[rep, index] = testbed.measure_csi(tx, rx, configuration, rng=rng).snr_db
+    return snr
+
+
+def _per_path_mimo(testbed, tx, rx, configuration, rng=None, estimation_error_std=0.0):
+    """MIMO matrices composed per chain pair from ``Testbed.channel``."""
+    h = np.zeros((testbed.num_subcarriers, rx.num_chains, tx.num_chains), dtype=complex)
+    for i in range(rx.num_chains):
+        for j in range(tx.num_chains):
+            h[:, i, j] = testbed.channel(tx, rx, configuration, j, i, rng=rng).cfr()
+    if estimation_error_std > 0:
+        scale = estimation_error_std * np.sqrt(np.mean(np.abs(h) ** 2))
+        h = h + scale / np.sqrt(2.0) * (
+            rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+        )
+    return h
 
 
 @pytest.mark.parametrize("builder", [build_nlos_setup, build_los_setup])
 def test_sweep_modes_agree_with_drift_and_noise(builder):
-    """Same seed, either mode: identical sweeps (drift + estimation noise)."""
+    """Same seed, either route: identical sweeps (drift + estimation noise)."""
     setup = builder(3)
-    legacy = setup.testbed.sweep(
-        setup.tx_device,
-        setup.rx_device,
-        repetitions=3,
-        rng=np.random.default_rng(7),
-        mode="legacy",
+    measured = _measured_sweep(
+        setup.testbed, setup.tx_device, setup.rx_device, 3, np.random.default_rng(7)
     )
     fast = setup.testbed.sweep(
         setup.tx_device,
         setup.rx_device,
         repetitions=3,
         rng=np.random.default_rng(7),
-        mode="basis",
     )
-    assert fast.configurations == legacy.configurations
-    np.testing.assert_array_equal(fast.used_mask, legacy.used_mask)
-    np.testing.assert_allclose(fast.snr_db, legacy.snr_db, rtol=0.0, atol=ATOL)
+    assert fast.configurations == setup.testbed.configurations
+    np.testing.assert_allclose(fast.snr_db, measured, rtol=0.0, atol=ATOL)
 
 
 def test_sweep_modes_agree_noise_only():
     """Drift disabled, estimation noise on: streams still line up."""
     config = StudyConfig(drift_phase_rad=0.0, drift_amplitude=0.0)
     setup = build_nlos_setup(1, config)
-    legacy = setup.testbed.sweep(
-        setup.tx_device,
-        setup.rx_device,
-        repetitions=2,
-        rng=np.random.default_rng(11),
-        mode="legacy",
+    measured = _measured_sweep(
+        setup.testbed, setup.tx_device, setup.rx_device, 2, np.random.default_rng(11)
     )
     fast = setup.testbed.sweep(
         setup.tx_device,
         setup.rx_device,
         repetitions=2,
         rng=np.random.default_rng(11),
-        mode="basis",
     )
-    np.testing.assert_allclose(fast.snr_db, legacy.snr_db, rtol=0.0, atol=ATOL)
+    np.testing.assert_allclose(fast.snr_db, measured, rtol=0.0, atol=ATOL)
 
 
 def test_sweep_modes_agree_exact():
-    """No rng: both modes return the exact (deterministic) sweep."""
+    """No rng: both routes return the exact (deterministic) sweep."""
     setup = build_nlos_setup(6)
-    legacy = setup.testbed.sweep(
-        setup.tx_device, setup.rx_device, repetitions=2, mode="legacy"
-    )
-    fast = setup.testbed.sweep(
-        setup.tx_device, setup.rx_device, repetitions=2, mode="basis"
-    )
-    np.testing.assert_allclose(fast.snr_db, legacy.snr_db, rtol=0.0, atol=ATOL)
-    # Exact repetitions are identical by construction in both modes.
+    measured = _measured_sweep(setup.testbed, setup.tx_device, setup.rx_device, 2)
+    fast = setup.testbed.sweep(setup.tx_device, setup.rx_device, repetitions=2)
+    np.testing.assert_allclose(fast.snr_db, measured, rtol=0.0, atol=ATOL)
+    # Exact repetitions are identical by construction.
     np.testing.assert_array_equal(fast.snr_db[0], fast.snr_db[1])
 
 
@@ -150,16 +179,16 @@ def test_basis_exhaustive_matches_legacy_exhaustive():
 
 
 def test_mimo_modes_agree():
-    """Per-chain-pair basis MIMO matrices match the re-traced ones."""
+    """Per-chain-pair basis MIMO matrices match the per-path ones."""
     setup = build_mimo_setup(0)
     configuration = ArrayConfiguration(tuple([1] * setup.array.num_elements))
-    legacy = setup.testbed.mimo_matrices(
+    reference = _per_path_mimo(
+        setup.testbed,
         setup.tx_device,
         setup.rx_device,
         configuration,
         rng=np.random.default_rng(13),
         estimation_error_std=0.05,
-        mode="legacy",
     )
     fast = setup.testbed.mimo_matrices(
         setup.tx_device,
@@ -167,9 +196,78 @@ def test_mimo_modes_agree():
         configuration,
         rng=np.random.default_rng(13),
         estimation_error_std=0.05,
-        mode="basis",
     )
-    np.testing.assert_allclose(fast, legacy, rtol=0.0, atol=ATOL)
+    _assert_close(fast, reference)
+
+
+def test_mu_mimo_matrices_match_per_path_composition():
+    """Every configuration's MU-MIMO downlink matches the per-path channels."""
+    setup = build_mimo_setup(0)
+    rx0 = setup.rx_device.position
+    clients = [
+        warp_v3("client-0", Point(rx0.x, rx0.y)),
+        warp_v3("client-1", Point(rx0.x + 0.06, rx0.y + 0.1)),
+    ]
+    for configuration in setup.array.configuration_space().all_configurations():
+        got = mu_mimo_matrices(setup.testbed, setup.tx_device, clients, configuration)
+        want = np.stack(
+            [
+                _per_path_mimo(setup.testbed, setup.tx_device, client, configuration)[:, 0, :]
+                for client in clients
+            ],
+            axis=1,
+        )
+        _assert_close(got, want)
+
+
+def test_alignment_interference_vectors_match_per_path_composition():
+    """Both APs' interference at the bystander match the per-path channels."""
+    testbed, aps, bystander = build_alignment_setup(0)
+    for configuration in testbed.array.configuration_space().all_configurations():
+        for ap in aps:
+            got = interference_vectors(testbed, ap, bystander, configuration)
+            want = _per_path_mimo(testbed, ap, bystander, configuration)[:, :, 0]
+            _assert_close(got, want)
+
+
+def _parabolic_nlos_setup():
+    """The NLoS study setup with its elements swapped for parabolic ones."""
+    setup = build_nlos_setup(4)
+    rx = setup.rx_device.position
+    array = PressArray.from_elements(
+        [parabolic_element(e.position, name=e.name).pointed_at(rx) for e in setup.array.elements]
+    )
+    return setup, Testbed(scene=setup.testbed.scene, array=array)
+
+
+@pytest.mark.parametrize("name", ["nlos", "nlos-parabolic", "mimo"])
+def test_basis_for_matches_reference_builder(name):
+    """basis_for's tensor and ambient CFR match the per-element reference."""
+    if name == "nlos-parabolic":
+        setup, testbed = _parabolic_nlos_setup()
+    else:
+        setup = (build_mimo_setup if name == "mimo" else build_nlos_setup)(4)
+        testbed = setup.testbed
+    tx_device, rx_device = setup.tx_device, setup.rx_device
+    for i in range(rx_device.num_chains):
+        for j in range(tx_device.num_chains):
+            got = testbed.basis_for(tx_device, rx_device, j, i)
+            tx, rx = tx_device.chains[j], rx_device.chains[i]
+            want = reference_basis(
+                testbed.array,
+                tx.position,
+                rx.position,
+                testbed.tracer,
+                tx_antenna=tx.antenna,
+                rx_antenna=rx.antenna,
+                num_subcarriers=testbed.num_subcarriers,
+                bandwidth_hz=testbed.bandwidth_hz,
+                environment_paths=testbed.environment_paths(tx_device, rx_device, j, i),
+            )
+            assert np.count_nonzero(want.state_tensor) > 0
+            _assert_close(got.state_tensor, want.state_tensor)
+            np.testing.assert_array_equal(got.ambient_cfr(), want.ambient_cfr())
+            _assert_close(got.evaluate(), want.evaluate())
 
 
 def test_used_mask_rename_and_validation():
@@ -189,5 +287,3 @@ def test_used_mask_rename_and_validation():
             repetitions=1,
             used_mask=np.ones(10, dtype=bool),
         )
-    with pytest.raises(ValueError, match="mode"):
-        testbed.sweep(setup.tx_device, setup.rx_device, repetitions=1, mode="warp")

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.core import basis as basis_module
 from repro.core.array import PressArray
 from repro.core.basis import ChannelBasis, element_frame
 from repro.core.element import (
@@ -250,13 +251,15 @@ def test_scatterer_half_matches_the_per_relay_loop(scene):
 @pytest.mark.parametrize("num_subcarriers", [64, 15, 2, 1])
 @pytest.mark.parametrize("element_chunk", [256, 7, 1])
 @pytest.mark.parametrize("tx_antenna", TX_ANTENNAS.values(), ids=TX_ANTENNAS.keys())
-def test_trace_chunked_matches_the_per_element_fold(scene, tx_antenna, element_chunk, num_subcarriers):
+def test_trace_chunked_matches_the_per_element_fold(
+    scene, tx_antenna, element_chunk, num_subcarriers, monkeypatch
+):
     tracer, tx, rx, array = scene
     rx_antenna = OmniAntenna(peak_gain_dbi=3.0)
+    monkeypatch.setattr(basis_module, "_ELEMENT_CHUNK", element_chunk)
     basis = ChannelBasis.trace_chunked(
         array, tx, rx, tracer, tx_antenna=tx_antenna, rx_antenna=rx_antenna,
         num_subcarriers=num_subcarriers, bandwidth_hz=BANDWIDTH_HZ,
-        element_chunk=element_chunk,
     )
     want = _reference_chunked_tensor(
         array, tx, rx, tracer, tx_antenna, rx_antenna, num_subcarriers, element_chunk

@@ -1,7 +1,7 @@
 """Scalable searchers and the wall-sized array path.
 
 Pins the behaviours that let search scale past exhaustive enumeration:
-chunked basis tracing agrees with the scalar path, the enumeration guard
+the basis builder agrees with the per-element reference, the enumeration guard
 raises (with a pointer to the scalable searchers) instead of OOMing,
 scheduler selection routes huge spaces to RFocus-style search, searchers
 are deterministic at a fixed seed, and the large-array experiment is
@@ -19,8 +19,10 @@ from repro.core import (
     exhaustive_argmax,
     pick_searcher,
 )
-from repro.core.basis import MAX_ENUMERABLE_CONFIGS, ChannelBasis
+from repro.core import basis as basis_module
+from repro.core.basis import MAX_ENUMERABLE_CONFIGS, ChannelBasis, StateTensorBudgetExceeded
 from repro.core.configuration import ConfigurationSpace
+from repro.em import trace_cache
 from repro.em.channel import subcarrier_frequencies
 from repro.experiments import (
     build_large_array_setup,
@@ -28,9 +30,10 @@ from repro.experiments import (
     run_large_array,
     used_subcarrier_mask,
 )
-from repro.sdr.testbed import LARGE_ARRAY_THRESHOLD
 
-N_SMALL = 40  # >= LARGE_ARRAY_THRESHOLD so the chunked trace path runs
+from .basis_reference import reference_basis
+
+N_SMALL = 40
 
 
 def _basis(setup):
@@ -46,14 +49,13 @@ def _search_kwargs(setup):
 
 
 def test_chunked_trace_matches_scalar_trace():
-    """trace_chunked is the same basis as trace, to machine precision."""
+    """trace_chunked is the per-element reference basis, to machine precision."""
     setup = build_large_array_setup(0, num_elements=N_SMALL)
-    assert N_SMALL >= LARGE_ARRAY_THRESHOLD
     testbed = setup.testbed
-    chunked = _basis(setup)  # routed through trace_chunked by element count
+    chunked = _basis(setup)
     tx = setup.tx_device.chains[0]
     rx = setup.rx_device.chains[0]
-    scalar = ChannelBasis.trace(
+    scalar = reference_basis(
         setup.array,
         tx.position,
         rx.position,
@@ -72,6 +74,32 @@ def test_chunked_trace_matches_scalar_trace():
     np.testing.assert_allclose(
         chunked.ambient_cfr(), scalar.ambient_cfr(), rtol=0.0, atol=1e-12
     )
+
+
+def test_state_tensor_budget_raises_before_tracing(monkeypatch):
+    """Over budget, trace_chunked raises and leaves the trace cache untouched."""
+    setup = build_large_array_setup(0, num_elements=64)
+    testbed = setup.testbed
+    max_states = max(setup.array.configuration_space().state_counts)
+    needed = basis_module.state_tensor_nbytes(64, max_states, testbed.num_subcarriers)
+    monkeypatch.setattr(basis_module, "STATE_TENSOR_BUDGET_BYTES", needed - 1)
+    cache = trace_cache.global_trace_cache()
+    before = (len(cache), cache.misses, cache.wall_misses)
+    tx = setup.tx_device.chains[0]
+    rx = setup.rx_device.chains[0]
+    with pytest.raises(StateTensorBudgetExceeded, match=f"needs {needed} bytes"):
+        ChannelBasis.trace_chunked(
+            setup.array,
+            tx.position,
+            rx.position,
+            testbed.tracer,
+            tx_antenna=tx.antenna,
+            rx_antenna=rx.antenna,
+            num_subcarriers=testbed.num_subcarriers,
+            bandwidth_hz=testbed.bandwidth_hz,
+        )
+    assert (len(cache), cache.misses, cache.wall_misses) == before
+    assert cache.tensor_misses == 0
 
 
 def test_enumeration_guard_names_the_scalable_searchers():

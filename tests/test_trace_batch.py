@@ -19,6 +19,8 @@ from repro.em.geometry import Point
 from repro.em.paths import paths_to_cfr
 from repro.experiments import StudyConfig, build_los_setup, build_nlos_setup
 
+from .basis_reference import reference_basis
+
 GAIN_TOL = 1e-12
 
 
@@ -155,7 +157,7 @@ def test_channel_basis_trace_batch_matches_scalar():
     )
     assert len(bases) == len(points)
     for point, batched in zip(points, bases):
-        scalar = ChannelBasis.trace(
+        scalar = reference_basis(
             testbed.array,
             tx_chain.position,
             point,

@@ -24,6 +24,8 @@ from repro.em.geometry import Point
 from repro.experiments.common import build_large_array_setup
 from repro.sdr.testbed import Testbed
 
+from .basis_reference import reference_basis
+
 GAIN_TOL = 1e-12
 
 
@@ -58,7 +60,7 @@ def _assert_bases_match_scalar(testbed, tx_device, rx_antenna, points) -> None:
         0, min(space.state_counts), size=(16, testbed.array.num_elements)
     )
     for point, batched in zip(points, bases):
-        scalar = ChannelBasis.trace(
+        scalar = reference_basis(
             testbed.array,
             tx_chain.position,
             point,

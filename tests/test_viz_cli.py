@@ -95,6 +95,13 @@ class TestCli:
         output = capsys.readouterr().out
         assert "wired bus" in output
 
+    @pytest.mark.parametrize("flags", [[], ["--cold"], ["--seed", "1"]])
+    def test_profile_sweep_command_runs(self, capsys, flags):
+        assert main(["profile-sweep", "--repetitions", "2", *flags]) == 0
+        output = capsys.readouterr().out
+        assert "one Fig. 4 sweep: 3 elements, 64 configurations, 2 repetitions" in output
+        assert "cumulative" in output
+
     def test_figures_command_small(self, capsys):
         code = main(
             [
