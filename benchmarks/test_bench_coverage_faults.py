@@ -7,11 +7,8 @@
   elements allow.
 """
 
-import numpy as np
-
 from repro.analysis.reporting import ReportTable, format_table
 from repro.core import (
-    ArrayConfiguration,
     ExhaustiveSearch,
     detect_unresponsive_elements,
     with_faults,
@@ -85,10 +82,10 @@ def test_bench_fault_tolerance(once):
         faulty_score = best_score(faulty)
         testbed = Testbed(scene=setup.testbed.scene, array=faulty)
 
+        basis = testbed.basis_for(setup.tx_device, setup.rx_device)
+
         def measure_cfr(configuration):
-            return testbed.channel(
-                setup.tx_device, setup.rx_device, configuration
-            ).cfr()[mask]
+            return basis.cfr(configuration)[mask]
 
         detected = detect_unresponsive_elements(faulty, measure_cfr)
         soundings = 2 * faulty.num_elements

@@ -28,10 +28,8 @@ def test_bench_model_based_prediction(once):
             setup = build_nlos_setup(seed)
             mask = used_subcarrier_mask()
             schedule = identification_configurations(setup.array)
-            cfrs = [
-                setup.testbed.channel(setup.tx_device, setup.rx_device, c).cfr()[mask]
-                for c in schedule
-            ]
+            basis = setup.testbed.basis_for(setup.tx_device, setup.rx_device)
+            cfrs = [basis.cfr(c)[mask] for c in schedule]
             model = fit_channel_model(
                 setup.array, schedule, cfrs, setup.testbed.frequency_hz
             )
@@ -40,9 +38,7 @@ def test_bench_model_based_prediction(once):
             for rank in range(0, 64, 7):
                 config = setup.array.configuration_space().configuration_at(rank)
                 predicted = model.predict_cfr(setup.array, config)
-                actual = setup.testbed.channel(
-                    setup.tx_device, setup.rx_device, config
-                ).cfr()[mask]
+                actual = basis.cfr(config)[mask]
                 errors.append(
                     float(np.linalg.norm(predicted - actual) / np.linalg.norm(actual))
                 )

@@ -76,12 +76,8 @@ def test_bench_search_scaling(once):
                 space, min_snr
             )
             schedule = identification_configurations(array)
-            cfrs = [
-                testbed.channel(
-                    setup.tx_device, setup.rx_device, configuration
-                ).cfr()[mask]
-                for configuration in schedule
-            ]
+            basis = testbed.basis_for(setup.tx_device, setup.rx_device)
+            cfrs = [basis.cfr(configuration)[mask] for configuration in schedule]
             model = fit_channel_model(
                 array, schedule, cfrs, testbed.frequency_hz
             )

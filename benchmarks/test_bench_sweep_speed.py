@@ -1,23 +1,30 @@
-"""Sweep fast-path micro-benchmark: per-sounding loop vs channel-basis wall time.
+"""Sweep fast-path micro-benchmark: per-path sounding loop vs channel-basis wall time.
 
 The Fig. 4 workload — 3 elements, 64 configurations, 10 repetitions — is
 the inner loop of every experiment.  The baseline ("legacy" in the
-ledger) is one ``Testbed.measure_csi`` per configuration and repetition,
-which re-traces the element paths for each of the 640 measurements;
-``Testbed.sweep`` traces geometry once and evaluates the whole sweep as
-vectorized numpy.  This benchmark records both wall times (and the
-drifted/noisy variant) to ``BENCH_sweep.json`` and asserts the >= 10x
-speedup plus numerical agreement with the loop.
+ledger) composes each of the 640 soundings path by path, the way the
+simulator did before it read the channel basis: the cached ambient paths,
+drifted one path object at a time, plus one re-traced
+``RayTracer.relay_path`` per element, through ``paths_to_cfr`` and
+``observe_cfr``.  ``Testbed.sweep`` traces geometry once and evaluates the
+whole sweep as vectorized numpy.  This benchmark records both wall times
+(and the drifted/noisy variant) to ``BENCH_sweep.json`` and asserts the
+>= 10x speedup plus numerical agreement with the loop.
 """
 
+import cmath
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.reporting import ReportTable
+from repro.em.channel import observe_cfr, subcarrier_frequencies
+from repro.em.paths import paths_to_cfr
 from repro.experiments import build_nlos_setup
+from repro.sdr.testbed import drift_factors
 
 REPETITIONS = 10
 
@@ -29,15 +36,55 @@ def _timed_sweep(testbed, tx, rx, seed=None):
     return time.perf_counter() - start, result.snr_db
 
 
+def _per_path_snr(testbed, tx, rx, ambient, configuration, rng):
+    """One sounding composed path by path, every element's relay re-traced."""
+    tracer = testbed.tracer
+    tx_chain, rx_chain = tx.chains[0], rx.chains[0]
+    paths = list(ambient)
+    factors = drift_factors(
+        len(paths), rng, testbed.drift_phase_rad, testbed.drift_amplitude
+    )
+    if factors is not None:
+        paths = [path.scaled(complex(f)) for path, f in zip(paths, factors)]
+    for element, index in zip(testbed.array.elements, configuration.indices):
+        state = element.state(index)
+        if state.is_terminated:
+            continue
+        path = tracer.relay_path(
+            tx_chain.position,
+            element.position,
+            rx_chain.position,
+            tx_antenna=tx_chain.antenna,
+            rx_antenna=rx_chain.antenna,
+            relay_antenna_in=element.antenna,
+            relay_antenna_out=element.antenna,
+            reflectivity=state.magnitude * cmath.exp(1j * state.fixed_phase_rad),
+            extra_delay_s=state.extra_delay_s,
+            extra_phase_rad=-2.0 * math.pi * tracer.frequency_hz * state.extra_delay_s,
+        )
+        if path is not None:
+            paths.append(path)
+    freqs = subcarrier_frequencies(testbed.num_subcarriers, testbed.bandwidth_hz)
+    return observe_cfr(
+        paths_to_cfr(paths, freqs),
+        testbed.num_subcarriers,
+        testbed.bandwidth_hz,
+        tx_power_dbm=tx.tx_power_dbm,
+        noise_figure_db=rx.noise_figure_db,
+        rng=rng,
+    ).snr_db
+
+
 def _timed_measure_loop(testbed, tx, rx, seed=None):
-    """The sweep as one ``measure_csi`` per configuration and repetition."""
+    """The sweep as one per-path sounding per configuration and repetition."""
     rng = None if seed is None else np.random.default_rng(seed)
     configurations = testbed.configurations
+    ambient = testbed.environment_paths(tx, rx)
     start = time.perf_counter()
     snr = np.empty((REPETITIONS, len(configurations), testbed.num_subcarriers))
     for rep in range(REPETITIONS):
         for index, configuration in enumerate(configurations):
-            snr[rep, index] = testbed.measure_csi(tx, rx, configuration, rng=rng).snr_db
+            snr[rep, index] = _per_path_snr(testbed, tx, rx, ambient, configuration, rng)
     return time.perf_counter() - start, snr
 
 

@@ -35,10 +35,8 @@ def main():
     for config in schedule:
         print(f"  measure {array.describe(config)}")
 
-    cfrs = [
-        setup.testbed.channel(setup.tx_device, setup.rx_device, c).cfr()[mask]
-        for c in schedule
-    ]
+    basis = setup.testbed.basis_for(setup.tx_device, setup.rx_device)
+    cfrs = [basis.cfr(c)[mask] for c in schedule]
     model = fit_channel_model(array, schedule, cfrs, setup.testbed.frequency_hz)
 
     # Validate on configurations the model never saw.
@@ -46,9 +44,7 @@ def main():
     for rank in range(0, 64, 5):
         config = array.configuration_space().configuration_at(rank)
         predicted = model.predict_cfr(array, config)
-        actual = setup.testbed.channel(
-            setup.tx_device, setup.rx_device, config
-        ).cfr()[mask]
+        actual = basis.cfr(config)[mask]
         errors.append(np.linalg.norm(predicted - actual) / np.linalg.norm(actual))
     print(f"\nPrediction error on unseen configurations: "
           f"median {100 * np.median(errors):.2f}%, worst {100 * max(errors):.2f}%")

@@ -75,10 +75,8 @@ def main():
     chosen = {}
     for name, client in clients.items():
         schedule = identification_configurations(array)
-        cfrs = [
-            setup.testbed.channel(setup.tx_device, client, c).cfr()[mask]
-            for c in schedule
-        ]
+        basis = setup.testbed.basis_for(setup.tx_device, client)
+        cfrs = [basis.cfr(c)[mask] for c in schedule]
         model = fit_channel_model(array, schedule, cfrs, setup.testbed.frequency_hz)
         best, _ = predict_and_pick(array, model, MinSnrObjective())
         chosen[name] = best

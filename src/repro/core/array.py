@@ -1,25 +1,19 @@
-"""The PRESS array: elements + scene -> programmable channel.
+"""The PRESS array: an installed set of elements and its switch space.
 
-Composes the EM substrate with the element hardware model: for a given
-array configuration, each non-terminated element contributes a two-hop
-TX -> element -> RX path whose complex gain carries the element's switched
-reflection coefficient and whose delay includes the waveguide stub.  The
-resulting channel is ``environment paths + element paths`` — the
-superposition §2's inverse problem reasons about.
+For a given array configuration, each non-terminated element contributes
+a two-hop TX -> element -> RX term whose complex gain carries the
+element's switched reflection coefficient and whose delay includes the
+waveguide stub.  The channel basis (:mod:`repro.core.basis`) composes that
+superposition — ``ambient + sum_n E_n(c_n)``, the one §2's inverse problem
+reasons about — for every configuration at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..constants import SPEED_OF_LIGHT
-from ..em.antennas import Antenna, IsotropicAntenna
-from ..em.channel import Channel
 from ..em.geometry import Point
-from ..em.paths import SignalPath
-from ..em.raytracer import RayTracer
 from .configuration import ArrayConfiguration, ConfigurationSpace
 from .element import PressElement
 
@@ -46,7 +40,7 @@ class PressArray:
             raise ValueError(f"element names must be unique, got {names}")
         # The configuration space is derived from the (immutable) elements;
         # build it once here instead of rebuilding and re-validating on
-        # every element_paths/describe call.
+        # every describe/basis call.
         object.__setattr__(
             self,
             "_space",
@@ -78,77 +72,4 @@ class PressArray:
         """A copy with every directional element boresighted at ``target``."""
         return PressArray(
             tuple(element.pointed_at(target) for element in self.elements)
-        )
-
-    # ------------------------------------------------------------------
-    # Channel synthesis
-    # ------------------------------------------------------------------
-    def element_paths(
-        self,
-        configuration: ArrayConfiguration,
-        tx: Point,
-        rx: Point,
-        tracer: RayTracer,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-    ) -> list[SignalPath]:
-        """The TX -> element -> RX paths contributed by a configuration.
-
-        Terminated (absorptive-load) elements contribute nothing; for the
-        rest the reflection coefficient at the carrier becomes the path's
-        complex scaling and the stub's group delay extends the path delay,
-        so the stub phase disperses correctly across subcarriers.
-        """
-        self.configuration_space().validate(configuration)
-        carrier = tracer.frequency_hz
-        paths: list[SignalPath] = []
-        for element, state_index in zip(self.elements, configuration.indices):
-            state = element.state(state_index)
-            if state.is_terminated:
-                continue
-            # Split Gamma(f): magnitude+fixed phase -> reflectivity; the
-            # stub's carrier phase -> extra_phase; its dispersion -> delay.
-            stub_carrier_phase = (
-                -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
-            )
-            reflectivity = state.magnitude * complex(
-                math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
-            )
-            path = tracer.relay_path(
-                tx,
-                element.position,
-                rx,
-                tx_antenna=tx_antenna,
-                rx_antenna=rx_antenna,
-                relay_antenna_in=element.antenna,
-                relay_antenna_out=element.antenna,
-                reflectivity=reflectivity,
-                extra_delay_s=state.extra_delay_s,
-                extra_phase_rad=stub_carrier_phase,
-                kind="press-element",
-            )
-            if path is not None:
-                paths.append(path)
-        return paths
-
-    def channel(
-        self,
-        configuration: ArrayConfiguration,
-        environment_paths: Sequence[SignalPath],
-        tx: Point,
-        rx: Point,
-        tracer: RayTracer,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        num_subcarriers: int = 64,
-        bandwidth_hz: float = 20e6,
-    ) -> Channel:
-        """The full programmable channel for one configuration."""
-        extra = self.element_paths(
-            configuration, tx, rx, tracer, tx_antenna, rx_antenna
-        )
-        return Channel(
-            tuple(environment_paths) + tuple(extra),
-            num_subcarriers=num_subcarriers,
-            bandwidth_hz=bandwidth_hz,
         )

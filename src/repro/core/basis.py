@@ -19,9 +19,12 @@ the whole M^N sweep evaluates as a single vectorized numpy operation.
 
 The decomposition is exact for passive arrays because a passive element
 re-radiates the incident field scaled by its own Γ only; it ignores the
-second-order element → element → RX rescattering, which the per-path route
-(:meth:`PressArray.element_paths`) also ignores — so the two routes agree
-to machine precision (see ``tests/test_basis_equivalence.py``).
+second-order element → element → RX rescattering, which the scalar
+tracer's two-hop relay paths also ignore — so the basis agrees with a
+per-path composition of ambient and relay paths to machine precision (see
+``tests/test_basis_equivalence.py`` and its reference,
+``tests/basis_reference.py``).  Every configured channel the package
+composes — soundings, sweeps, MIMO matrices — is read off the basis.
 """
 
 from __future__ import annotations
@@ -467,9 +470,10 @@ class ChannelBasis:
         phase and stub dispersion fold in as one broadcast per
         :data:`_ELEMENT_CHUNK` elements and state set, with per-state-set
         constants shared across elements.  Blocked and zero-amplitude
-        elements keep zero rows.  Each row agrees with the element's
-        two-hop :meth:`RayTracer.relay_path` (the per-path route of
-        :meth:`PressArray.element_paths`) to machine precision.
+        elements keep zero rows.  Each row agrees with the scalar tracer's
+        two-hop relay path of that element and state (the per-element
+        reference builder in ``tests/basis_reference.py``) to machine
+        precision.
         ``environment_paths`` lets a caller reuse already-traced ambient
         paths (e.g. the testbed's environment cache); when ``None`` the
         ambient multipath is traced here.

@@ -31,11 +31,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..constants import SPEED_OF_LIGHT
 from ..em.antennas import Antenna, IsotropicAntenna
 from ..em.geometry import Point
 from ..em.paths import SignalPath, paths_to_cfr
 from ..em.raytracer import RayTracer
 from .array import PressArray
+from .basis import element_frame
 from .configuration import ArrayConfiguration
 
 __all__ = [
@@ -61,26 +63,21 @@ def element_basis(
 
     Returns a (num_frequencies, num_elements) complex matrix ``U`` such
     that, for element reflection coefficients ``c``, the array adds
-    ``U @ c`` to the environment CFR.  Elements with a blocked view of TX
-    or RX contribute a zero column.
+    ``U @ c`` to the environment CFR.  Every element's two-hop geometry is
+    one :meth:`TraceFrame.relay_geometry` broadcast of the array's
+    :func:`element_frame`; elements with a blocked view of TX or RX
+    contribute a zero column.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    basis = np.zeros((frequencies_hz.size, array.num_elements), dtype=complex)
-    for index, element in enumerate(array.elements):
-        path = tracer.relay_path(
-            tx,
-            element.position,
-            rx,
-            tx_antenna=tx_antenna,
-            rx_antenna=rx_antenna,
-            relay_antenna_in=element.antenna,
-            relay_antenna_out=element.antenna,
-            reflectivity=1.0 + 0.0j,
-            kind="press-element",
-        )
-        if path is not None:
-            basis[:, index] = paths_to_cfr([path], frequencies_hz)
-    return basis
+    frame = element_frame(array, tracer, tx, tx_antenna)
+    geometry = frame.relay_geometry(np.array([rx.x]), np.array([rx.y]), rx_antenna)
+    amplitude, total, _, clear = (column[:, 0] for column in geometry)
+    gain = np.where(clear, amplitude, 0.0) * np.exp(
+        -2.0j * np.pi * total / tracer.wavelength_m
+    )
+    return gain * np.exp(
+        -2.0j * np.pi * frequencies_hz[:, None] * (total / SPEED_OF_LIGHT)
+    )
 
 
 def solve_element_coefficients(
@@ -244,7 +241,8 @@ def synthesize_configuration(
 
     Solves the continuous least-squares problem, quantises to the hardware
     states, and reports the CFR the quantised configuration actually
-    achieves (through the full forward model, stub dispersion included).
+    achieves: the basis ``U`` times each chosen state's Gamma and stub
+    dispersion, added to the environment CFR.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
     environment_cfr = paths_to_cfr(list(environment_paths), frequencies_hz)
@@ -255,10 +253,18 @@ def synthesize_configuration(
         target_cfr, environment_cfr, basis, max_magnitude=max_magnitude
     )
     configuration = quantize_to_states(coefficients, array, tracer.frequency_hz)
-    element_paths = array.element_paths(
-        configuration, tx, rx, tracer, tx_antenna, rx_antenna
-    )
-    achieved = environment_cfr + paths_to_cfr(element_paths, frequencies_hz)
+    # Each chosen state scales its element's column by Gamma at the
+    # carrier and disperses it by the stub's group delay; terminated
+    # states contribute nothing.
+    achieved = environment_cfr.copy()
+    for n, (element, index) in enumerate(zip(array.elements, configuration.indices)):
+        state = element.state(index)
+        if not state.is_terminated:
+            achieved += (
+                basis[:, n]
+                * state.reflection_coefficient(tracer.frequency_hz)
+                * np.exp(-2.0j * np.pi * frequencies_hz * state.extra_delay_s)
+            )
     target = np.asarray(target_cfr, dtype=complex).ravel()
     residual_rms = float(np.sqrt(np.mean(np.abs(achieved - target) ** 2)))
     return InverseSolution(

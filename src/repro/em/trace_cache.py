@@ -203,8 +203,12 @@ class TraceCache:
             rx_antenna,
         )
 
-    def _store(self, key: Hashable, value: object) -> None:
-        nbytes = _entry_nbytes(value)
+    def _store(
+        self, key: Hashable, value: object, nbytes: Optional[int] = None
+    ) -> None:
+        """Insert ``value``, charging ``nbytes`` (default: its estimate)."""
+        if nbytes is None:
+            nbytes = _entry_nbytes(value)
         self._entries[key] = value
         self._sizes[key] = nbytes
         self.current_bytes += nbytes
@@ -261,8 +265,11 @@ class TraceCache:
         if walls is None:
             walls = tuple(tracer.wall_paths(tx, rx, tx_antenna, rx_antenna))
             self._store(wall_key, walls)
-        paths = walls + tuple(tracer.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
-        self._store(key, paths)
+        scattered = tuple(tracer.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
+        # The wall paths are the wall entry's own objects, already charged
+        # there: the full trace is charged only for the paths it adds.
+        paths = walls + scattered
+        self._store(key, paths, len(scattered) * _SIGNAL_PATH_NBYTES)
         return paths  # type: ignore[return-value]
 
     def get_or_build_tensor(

@@ -86,10 +86,7 @@ def interference_vectors(
     configuration: ArrayConfiguration,
 ) -> np.ndarray:
     """(subcarriers, receiver chains) interference channel from ``ap``'s first chain."""
-    vectors = np.zeros((testbed.num_subcarriers, receiver.num_chains), dtype=complex)
-    for chain in range(receiver.num_chains):
-        vectors[:, chain] = testbed.basis_for(ap, receiver, 0, chain).cfr(configuration)
-    return vectors
+    return testbed.mimo_matrices(ap, receiver, configuration)[:, :, 0]
 
 
 def build_alignment_setup(

@@ -170,7 +170,7 @@ def _robustness_task(
     setup = build_nlos_setup(placement_seed, config)
     mask = used_subcarrier_mask()
     measure = setup.testbed.snr_function(setup.tx_device, setup.rx_device, mask)
-    measure_cfr = setup.testbed.cfr_function(setup.tx_device, setup.rx_device)
+    measure_cfr = setup.testbed.basis_for(setup.tx_device, setup.rx_device).cfr
     plane = ControlPlane(
         link=control_link_by_name(link_name, loss),
         num_elements=setup.array.num_elements,

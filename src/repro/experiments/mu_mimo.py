@@ -36,19 +36,18 @@ def mu_mimo_matrices(
 ) -> np.ndarray:
     """Per-subcarrier multi-user downlink channel, shape (sc, users, tx).
 
-    Each entry is its (AP chain, client) pair's channel basis evaluated at
-    ``configuration``.
+    Each user's row is its first chain's row of
+    :meth:`Testbed.mimo_matrices` at ``configuration``.
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
-    h = np.zeros(
-        (testbed.num_subcarriers, len(clients), ap.num_chains), dtype=complex
+    return np.stack(
+        [
+            testbed.mimo_matrices(ap, client, configuration)[:, 0, :]
+            for client in clients
+        ],
+        axis=1,
     )
-    for user, client in enumerate(clients):
-        for tx_chain in range(ap.num_chains):
-            basis = testbed.basis_for(ap, client, tx_chain, 0)
-            h[:, user, tx_chain] = basis.cfr(configuration)
-    return h
 
 
 def zf_sum_rate_bits(

@@ -146,12 +146,8 @@ def run_tracking(
     for t in times:
         testbed = testbed_at(float(t))
         if t >= next_ident:
-            cfrs = [
-                testbed.channel(
-                    base_setup.tx_device, base_setup.rx_device, c
-                ).cfr()[mask]
-                for c in schedule
-            ]
+            basis = testbed.basis_for(base_setup.tx_device, base_setup.rx_device)
+            cfrs = [basis.cfr(c)[mask] for c in schedule]
             model = fit_channel_model(
                 array, schedule, cfrs, testbed.frequency_hz
             )

@@ -24,7 +24,7 @@ from ..core.basis import (
     element_frame,
 )
 from ..core.configuration import ArrayConfiguration
-from ..em.channel import Channel, ChannelObservation, observe_cfr, snr_db_from_cfr
+from ..em.channel import ChannelObservation, observe_cfr, snr_db_from_cfr
 from ..em.antennas import Antenna
 from ..em.geometry import Point
 from ..em.paths import SignalPath
@@ -39,6 +39,7 @@ __all__ = [
     "Testbed",
     "SweepResult",
     "drift_factors",
+    "sound_basis",
     "sweep_basis_snr",
 ]
 
@@ -58,10 +59,10 @@ def drift_factors(
     """Per-path complex drift factors for one measurement (or ``None``).
 
     Draw order (one phase vector, then one amplitude vector) is the RNG
-    contract shared by the per-sounding simulator (:meth:`Testbed.measure_csi`),
-    the basis sweep and MIMO matrices — and by workers sweeping a shipped
-    basis without a testbed — so identically seeded generators produce
-    identical measurements everywhere.
+    contract shared by every sounding (:func:`sound_basis`) and by MIMO
+    matrices — and by workers sweeping a shipped basis without a testbed —
+    so identically seeded generators produce identical measurements
+    everywhere.
     """
     if rng is None or (drift_phase_rad == 0 and drift_amplitude == 0):
         return None
@@ -70,6 +71,38 @@ def drift_factors(
         1.0 + rng.normal(scale=drift_amplitude, size=num_paths), 0.0
     )
     return scales * np.exp(1j * phases)
+
+
+def sound_basis(
+    basis: ChannelBasis,
+    element_sum: np.ndarray,
+    rng: Optional[np.random.Generator],
+    tx_power_dbm: float,
+    noise_figure_db: float,
+    drift_phase_rad: float,
+    drift_amplitude: float,
+) -> ChannelObservation:
+    """One sounding of a configuration whose element sum is ``element_sum``.
+
+    The ambient gains take one :func:`drift_factors` draw, the element sum
+    adds on, and :func:`observe_cfr` draws the estimation noise: the RNG
+    contract of :meth:`Testbed.measure_csi` and of every sounding of
+    :func:`sweep_basis_snr`.  Without an rng the observation is exact.
+    """
+    factors = drift_factors(
+        basis.num_ambient_paths, rng, drift_phase_rad, drift_amplitude
+    )
+    ambient = basis.ambient_cfr(
+        None if factors is None else basis.ambient_gains * factors
+    )
+    return observe_cfr(
+        ambient + element_sum,
+        basis.num_subcarriers,
+        basis.bandwidth_hz,
+        tx_power_dbm=tx_power_dbm,
+        noise_figure_db=noise_figure_db,
+        rng=rng,
+    )
 
 
 def sweep_basis_snr(
@@ -87,9 +120,9 @@ def sweep_basis_snr(
     process can sweep a basis traced by the parent without rebuilding
     scene, tracer or testbed.  Without an rng the sweep is exact, so every
     repetition is one vectorized evaluation.  With an rng, each sounding
-    draws its drift and noise in the order one :meth:`Testbed.measure_csi`
-    per configuration would (repetition-major, configuration-major), each
-    draw feeding O(K) numpy work on the basis.  Returns shape
+    is one :func:`sound_basis` call, repetition-major then
+    configuration-major — the draws of one :meth:`Testbed.measure_csi`
+    per configuration, bit for bit.  Returns shape
     ``(repetitions, configurations, subcarriers)``.
     """
     element_sums = basis.all_element_sums  # (C, K)
@@ -107,21 +140,15 @@ def sweep_basis_snr(
     snr = np.empty((repetitions, num_configs, basis.num_subcarriers))
     for rep in range(repetitions):
         for index in range(num_configs):
-            factors = drift_factors(
-                basis.num_ambient_paths, rng, drift_phase_rad, drift_amplitude
-            )
-            ambient = basis.ambient_cfr(
-                None if factors is None else basis.ambient_gains * factors
-            )
-            observation = observe_cfr(
-                ambient + element_sums[index],
-                basis.num_subcarriers,
-                basis.bandwidth_hz,
-                tx_power_dbm=tx_power_dbm,
-                noise_figure_db=noise_figure_db,
-                rng=rng,
-            )
-            snr[rep, index] = observation.snr_db
+            snr[rep, index] = sound_basis(
+                basis,
+                element_sums[index],
+                rng,
+                tx_power_dbm,
+                noise_figure_db,
+                drift_phase_rad,
+                drift_amplitude,
+            ).snr_db
     return snr
 
 
@@ -207,7 +234,6 @@ class Testbed:
         self.tracer = RayTracer(
             scene=scene, frequency_hz=frequency_hz, max_bounces=max_bounces
         )
-        self._environment_cache: dict[tuple, tuple[SignalPath, ...]] = {}
         self._basis_cache: dict[tuple, ChannelBasis] = {}
         self._frames: dict[tuple, TraceFrame] = {}
         # The configuration space is fixed by the (immutable) array; its
@@ -230,29 +256,6 @@ class Testbed:
             self._configurations = tuple(self._space.all_configurations())
         return self._configurations
 
-    def _drift_factors(
-        self,
-        num_paths: int,
-        rng: Optional[np.random.Generator],
-    ) -> Optional[np.ndarray]:
-        """Per-path drift factors (see module-level :func:`drift_factors`)."""
-        return drift_factors(
-            num_paths, rng, self.drift_phase_rad, self.drift_amplitude
-        )
-
-    def _drifted(
-        self,
-        paths: tuple[SignalPath, ...],
-        rng: Optional[np.random.Generator],
-    ) -> tuple[SignalPath, ...]:
-        """One coherence-drifted realisation of the ambient paths."""
-        factors = self._drift_factors(len(paths), rng)
-        if factors is None:
-            return paths
-        return tuple(
-            path.scaled(complex(factor)) for path, factor in zip(paths, factors)
-        )
-
     # ------------------------------------------------------------------
     # Environment paths (configuration independent, cached)
     # ------------------------------------------------------------------
@@ -263,24 +266,18 @@ class Testbed:
         tx_chain: int = 0,
         rx_chain: int = 0,
     ) -> tuple[SignalPath, ...]:
-        """Ambient multipath between two device chains (no PRESS paths)."""
+        """Ambient multipath between two device chains (no PRESS paths).
+
+        The process-wide cache is keyed by geometry *values* (scene
+        fingerprint + endpoints), so testbeds rebuilt for the same
+        placement seed — e.g. successive experiments in a figure suite —
+        share one trace across instances.
+        """
         tx = tx_device.chains[tx_chain]
         rx = rx_device.chains[rx_chain]
-        key = (
-            tx.position.as_tuple(),
-            rx.position.as_tuple(),
-            tx.antenna,
-            rx.antenna,
+        return global_trace_cache().get_or_trace(
+            self.tracer, tx.position, rx.position, tx.antenna, rx.antenna
         )
-        if key not in self._environment_cache:
-            # The process-wide cache is keyed by geometry *values* (scene
-            # fingerprint + endpoints), so testbeds rebuilt for the same
-            # placement seed — e.g. successive experiments in a figure
-            # suite — share one trace across instances.
-            self._environment_cache[key] = global_trace_cache().get_or_trace(
-                self.tracer, tx.position, rx.position, tx.antenna, rx.antenna
-            )
-        return self._environment_cache[key]
 
     def basis_for(
         self,
@@ -396,55 +393,9 @@ class Testbed:
 
         return measure
 
-    def cfr_function(
-        self,
-        tx_device: SdrDevice,
-        rx_device: SdrDevice,
-        tx_chain: int = 0,
-        rx_chain: int = 0,
-    ) -> Callable[[ArrayConfiguration], np.ndarray]:
-        """A ``configuration -> complex CFR`` callable on the cached basis.
-
-        The measurement shape :func:`repro.core.faults.detect_unresponsive_elements`
-        consumes for maintenance sweeps.
-        """
-        basis = self.basis_for(tx_device, rx_device, tx_chain, rx_chain)
-        return basis.cfr
-
     # ------------------------------------------------------------------
     # SISO measurements
     # ------------------------------------------------------------------
-    def channel(
-        self,
-        tx_device: SdrDevice,
-        rx_device: SdrDevice,
-        configuration: ArrayConfiguration,
-        tx_chain: int = 0,
-        rx_chain: int = 0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Channel:
-        """The composed channel (environment + configured PRESS paths).
-
-        With an ``rng`` and non-zero drift, the ambient part is a fresh
-        coherence-drifted realisation (see ``drift_phase_rad``).
-        """
-        tx = tx_device.chains[tx_chain]
-        rx = rx_device.chains[rx_chain]
-        environment = self._drifted(
-            self.environment_paths(tx_device, rx_device, tx_chain, rx_chain), rng
-        )
-        return self.array.channel(
-            configuration,
-            environment,
-            tx.position,
-            rx.position,
-            self.tracer,
-            tx.antenna,
-            rx.antenna,
-            num_subcarriers=self.num_subcarriers,
-            bandwidth_hz=self.bandwidth_hz,
-        )
-
     def measure_csi(
         self,
         tx_device: SdrDevice,
@@ -454,14 +405,21 @@ class Testbed:
     ) -> ChannelObservation:
         """One CSI measurement, as the paper's receiver would estimate it.
 
-        With an ``rng``, the observation carries single-frame channel-
-        estimation noise; without, it is the exact channel.
+        The configured CFR comes from :meth:`basis_for`, and
+        :func:`sound_basis` takes the measurement: with an ``rng``, the
+        ambient part is a fresh coherence-drifted realisation (see
+        ``drift_phase_rad``) and the observation carries single-frame
+        channel-estimation noise; without, it is the exact channel.
         """
-        channel = self.channel(tx_device, rx_device, configuration, rng=rng)
-        return channel.observe(
+        basis = self.basis_for(tx_device, rx_device)
+        return sound_basis(
+            basis,
+            basis.element_sum(configuration),
+            rng,
             tx_power_dbm=tx_device.tx_power_dbm,
             noise_figure_db=rx_device.noise_figure_db,
-            rng=rng,
+            drift_phase_rad=self.drift_phase_rad,
+            drift_amplitude=self.drift_amplitude,
         )
 
     def sweep(
@@ -479,9 +437,9 @@ class Testbed:
 
         Evaluated from the precomputed channel basis (:func:`sweep_basis_snr`):
         geometry traced once, every configuration's CFR a vectorized gather
-        + sum.  ``rng`` is drawn in the order one :meth:`measure_csi` per
-        configuration would draw it, so identical seeds give the same
-        sweep (to machine precision) on either route.
+        + sum.  Each noisy sounding is the :func:`sound_basis` call of
+        one :meth:`measure_csi`, so an identically seeded ``measure_csi``
+        loop gives the same sweep bit for bit.
         """
         if repetitions <= 0:
             raise ValueError(f"repetitions must be positive, got {repetitions}")
@@ -532,7 +490,8 @@ class Testbed:
 
         Each entry comes from its chain pair's precomputed channel basis
         (geometry traced once per pair, drift applied as a phasor scaling
-        of the ambient gain vector, drawn as :meth:`channel` draws it).
+        of the ambient gain vector, one :func:`drift_factors` draw per
+        pair).
         """
         num_rx = rx_device.num_chains
         num_tx = tx_device.num_chains
@@ -540,7 +499,12 @@ class Testbed:
         for i in range(num_rx):
             for j in range(num_tx):
                 basis = self.basis_for(tx_device, rx_device, j, i)
-                factors = self._drift_factors(basis.num_ambient_paths, rng)
+                factors = drift_factors(
+                    basis.num_ambient_paths,
+                    rng,
+                    self.drift_phase_rad,
+                    self.drift_amplitude,
+                )
                 h[:, i, j] = basis.cfr(
                     configuration,
                     ambient_gains=(

@@ -1,17 +1,19 @@
-"""The channel basis against the per-path composition it replaces.
+"""The channel basis against the per-path composition it replaced.
 
 The basis sweep engine (``repro.core.basis``) exploits Γ-linearity —
 ``H(f; c) = H0(f) + sum_n E[n, c_n]`` — which is exact for passive
 elements with no element–element rescattering, i.e. exactly the physics
-the per-path route models.  ``Testbed.channel`` and ``measure_csi`` keep
-that route (ambient paths plus one ``element_paths`` relay per element);
-the references below compose sweeps and MIMO matrices from it, one
-sounding at a time.  Identical seeds must give identical sweeps (drift
-and estimation noise included) to within 1e-9, across LoS and NLoS
-scenes and across terminated and reflective element states; the
-vectorized exhaustive search must return the same argmax as the
-measurement-backed one; and the MIMO, MU-MIMO and alignment matrices and
-every basis tensor must agree to 1e-12 relative.
+a per-path composition models.  Every sounding, sweep and MIMO matrix of
+``Testbed`` reads the basis; the references in ``basis_reference.py``
+compose the same channels path by path (ambient paths, drifted one path
+object at a time, plus one relay path per element), one sounding at a
+time.  Identical seeds must give identical sweeps (drift and estimation
+noise included) to within 1e-9, across LoS and NLoS scenes and across
+terminated and reflective element states; the vectorized exhaustive
+search must return the same argmax as the measurement-backed one; and
+the MIMO, MU-MIMO and alignment matrices and every basis tensor must
+agree to 1e-12 relative.  A ``measure_csi`` loop and ``Testbed.sweep``
+share one sounding function, so they must agree bit for bit.
 """
 
 import numpy as np
@@ -38,7 +40,7 @@ from repro.experiments.mu_mimo import mu_mimo_matrices
 from repro.sdr.device import warp_v3
 from repro.sdr.testbed import Testbed
 
-from .basis_reference import reference_basis
+from .basis_reference import reference_basis, reference_cfr, reference_observation
 
 ATOL = 1e-9
 RTOL = 1e-12
@@ -51,21 +53,23 @@ def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def _measured_sweep(testbed, tx, rx, repetitions, rng=None) -> np.ndarray:
-    """The sweep as one ``measure_csi`` per configuration and repetition."""
+    """The sweep as one per-path reference sounding per configuration."""
     configurations = testbed.configurations
     snr = np.empty((repetitions, len(configurations), testbed.num_subcarriers))
     for rep in range(repetitions):
         for index, configuration in enumerate(configurations):
-            snr[rep, index] = testbed.measure_csi(tx, rx, configuration, rng=rng).snr_db
+            snr[rep, index] = reference_observation(
+                testbed, tx, rx, configuration, rng=rng
+            ).snr_db
     return snr
 
 
 def _per_path_mimo(testbed, tx, rx, configuration, rng=None, estimation_error_std=0.0):
-    """MIMO matrices composed per chain pair from ``Testbed.channel``."""
+    """MIMO matrices composed per chain pair from the per-path reference."""
     h = np.zeros((testbed.num_subcarriers, rx.num_chains, tx.num_chains), dtype=complex)
     for i in range(rx.num_chains):
         for j in range(tx.num_chains):
-            h[:, i, j] = testbed.channel(tx, rx, configuration, j, i, rng=rng).cfr()
+            h[:, i, j] = reference_cfr(testbed, tx, rx, configuration, j, i, rng=rng)
     if estimation_error_std > 0:
         scale = estimation_error_std * np.sqrt(np.mean(np.abs(h) ** 2))
         h = h + scale / np.sqrt(2.0) * (
@@ -117,6 +121,29 @@ def test_sweep_modes_agree_exact():
     np.testing.assert_array_equal(fast.snr_db[0], fast.snr_db[1])
 
 
+def test_measure_csi_loop_equals_sweep_bit_for_bit():
+    """Same seed, drift and noise on: a measure_csi loop is Testbed.sweep."""
+    setup = build_nlos_setup(3)
+    testbed = setup.testbed
+    assert testbed.drift_phase_rad > 0 and testbed.drift_amplitude > 0
+    rng = np.random.default_rng(5)
+    looped = np.array(
+        [
+            [
+                testbed.measure_csi(
+                    setup.tx_device, setup.rx_device, configuration, rng=rng
+                ).snr_db
+                for configuration in testbed.configurations
+            ]
+            for _ in range(2)
+        ]
+    )
+    swept = testbed.sweep(
+        setup.tx_device, setup.rx_device, repetitions=2, rng=np.random.default_rng(5)
+    )
+    assert np.array_equal(swept.snr_db, looped)
+
+
 def test_basis_cfr_matches_per_path_route():
     """Every configuration's CFR: basis == per-path, |dH| <= 1e-9.
 
@@ -134,9 +161,9 @@ def test_basis_cfr_matches_per_path_route():
     batch = basis.evaluate()
     assert batch.shape == (len(configurations), testbed.num_subcarriers)
     for index, configuration in enumerate(configurations):
-        reference = testbed.channel(
-            setup.tx_device, setup.rx_device, configuration
-        ).cfr()
+        reference = reference_cfr(
+            testbed, setup.tx_device, setup.rx_device, configuration
+        )
         np.testing.assert_allclose(
             basis.cfr(configuration), reference, rtol=0.0, atol=ATOL
         )
@@ -144,14 +171,14 @@ def test_basis_cfr_matches_per_path_route():
 
 
 def test_basis_exhaustive_matches_legacy_exhaustive():
-    """Vectorized argmax == measurement-backed ExhaustiveSearch argmax."""
+    """Vectorized argmax == per-path-measurement ExhaustiveSearch argmax."""
     setup = build_nlos_setup(2)
     mask = used_subcarrier_mask()
     objective = MeanSnrObjective()
 
     def score(configuration):
-        observation = setup.testbed.measure_csi(
-            setup.tx_device, setup.rx_device, configuration
+        observation = reference_observation(
+            setup.testbed, setup.tx_device, setup.rx_device, configuration
         )
         return float(objective(observation.snr_db[mask]))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.array import PressArray
+from repro.core.basis import ChannelBasis
 from repro.core.configuration import ArrayConfiguration
 from repro.core.element import omni_element
 from repro.core.objectives import (
@@ -53,47 +54,50 @@ class TestPressArray:
         label2 = small_array.describe(ArrayConfiguration((1, 2)))
         assert label2 == "(0.5:, :)"
 
-    def test_terminated_elements_contribute_nothing(self, small_array, tracer):
-        all_terminated = ArrayConfiguration((3, 3))
-        paths = small_array.element_paths(
-            all_terminated, Point(2, 3), Point(6, 3), tracer
-        )
-        assert paths == []
+    @staticmethod
+    def _basis(array, tracer):
+        return ChannelBasis.trace_chunked(array, Point(2, 3), Point(6, 3), tracer)
 
-    def test_element_paths_count(self, small_array, tracer):
-        config = ArrayConfiguration((0, 1))
-        paths = small_array.element_paths(config, Point(2, 3), Point(6, 3), tracer)
-        assert len(paths) == 2
-        assert all(p.kind == "press-element" for p in paths)
+    def test_terminated_elements_contribute_nothing(self, small_array, tracer):
+        basis = self._basis(small_array, tracer)
+        assert not np.any(basis.state_tensor[:, 3])
+        all_terminated = ArrayConfiguration((3, 3))
+        assert not np.any(basis.element_sum(all_terminated))
+        np.testing.assert_array_equal(basis.cfr(all_terminated), basis.ambient_cfr())
+
+    def test_reflective_states_contribute(self, small_array, tracer):
+        rows = self._basis(small_array, tracer).state_tensor[:, :3]
+        assert np.all(np.abs(rows).min(axis=-1) > 0)
 
     def test_stub_state_changes_path_phase_not_magnitude(self, small_array, tracer):
-        base = small_array.element_paths(
-            ArrayConfiguration((0, 3)), Point(2, 3), Point(6, 3), tracer
-        )[0]
-        shifted = small_array.element_paths(
-            ArrayConfiguration((1, 3)), Point(2, 3), Point(6, 3), tracer
-        )[0]
-        assert abs(shifted.gain) == pytest.approx(abs(base.gain), rel=1e-9)
+        tensor = self._basis(small_array, tracer).state_tensor
+        carrier_bin = tensor.shape[-1] // 2  # zero baseband offset
+        base, shifted = tensor[0, 0, carrier_bin], tensor[0, 1, carrier_bin]
+        assert abs(shifted) == pytest.approx(abs(base), rel=1e-9)
         # lambda/4 extra path -> pi/2 phase difference (at the carrier).
-        ratio = shifted.gain / base.gain
+        ratio = shifted / base
         assert math.atan2(ratio.imag, ratio.real) == pytest.approx(
             -math.pi / 2, abs=0.05
         )
 
     def test_stub_adds_delay(self, small_array, tracer):
-        base = small_array.element_paths(
-            ArrayConfiguration((0, 3)), Point(2, 3), Point(6, 3), tracer
-        )[0]
-        shifted = small_array.element_paths(
-            ArrayConfiguration((2, 3)), Point(2, 3), Point(6, 3), tracer
-        )[0]
-        assert shifted.delay_s > base.delay_s
+        basis = self._basis(small_array, tracer)
+        ratio = basis.state_tensor[0, 2] / basis.state_tensor[0, 0]
+        # The phase of the state ratio falls across the band at the stub's
+        # group delay.
+        slope = np.polyfit(basis.frequencies_hz, np.unwrap(np.angle(ratio)), 1)[0]
+        states = small_array.elements[0].states
+        extra = states[2].extra_delay_s - states[0].extra_delay_s
+        assert extra > 0
+        assert -slope / (2 * math.pi) == pytest.approx(extra, rel=1e-6)
 
     def test_channel_composition(self, small_array, tracer):
         env = tracer.trace(Point(2, 3), Point(6, 3))
+        basis = self._basis(small_array, tracer)
+        assert basis.num_ambient_paths == len(env)
         config = ArrayConfiguration((0, 0))
-        channel = small_array.channel(config, env, Point(2, 3), Point(6, 3), tracer)
-        assert len(channel.paths) == len(env) + 2
+        want = basis.ambient_cfr() + basis.state_tensor[0, 0] + basis.state_tensor[1, 0]
+        np.testing.assert_allclose(basis.cfr(config), want, rtol=1e-12)
 
     def test_aimed_at(self):
         from repro.core.element import parabolic_element

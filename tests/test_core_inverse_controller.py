@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.array import PressArray
+from repro.core.configuration import ArrayConfiguration
 from repro.core.controller import PressController
 from repro.core.element import omni_element, phase_shifter_states
 from repro.core.inverse import (
@@ -20,6 +21,8 @@ from repro.em.channel import subcarrier_frequencies
 from repro.em.geometry import Point
 from repro.em.paths import SignalPath, paths_to_cfr
 from repro.em.raytracer import RayTracer
+
+from .basis_reference import element_relay_path
 
 
 @pytest.fixture
@@ -180,6 +183,26 @@ class TestSynthesize:
         baseline_error = float(np.sqrt(np.mean(np.abs(env_cfr - target) ** 2)))
         assert solution.residual_rms < baseline_error
         assert np.all(np.abs(solution.coefficients) <= 1.0 + 1e-9)
+
+    def test_achieved_cfr_matches_per_path_forward_model(self, asym_array, tracer):
+        """The achieved CFR is the chosen states' relay paths, stub dispersion included."""
+        freqs = subcarrier_frequencies(256, 80e6)  # any grid, not only the OFDM one
+        tx, rx = Point(2, 3), Point(6, 3)
+        env = tracer.trace(tx, rx)
+        env_cfr = paths_to_cfr(env, freqs)
+        basis = element_basis(asym_array, tx, rx, tracer, freqs)
+        # A lambda/4 stub on the first element, the absorptive load on the second.
+        target = env_cfr + basis @ np.array([-0.95j, 0.0])
+        solution = synthesize_configuration(asym_array, target, env, tx, rx, tracer, freqs)
+        assert solution.configuration == ArrayConfiguration((1, 3))
+        relays = [
+            element_relay_path(tracer, tx, rx, element, element.state(index))
+            for element, index in zip(asym_array.elements, solution.configuration.indices)
+        ]
+        want = paths_to_cfr(list(env) + [path for path in relays if path is not None], freqs)
+        np.testing.assert_allclose(
+            solution.achieved_cfr, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want))
+        )
 
 
 class TestController:

@@ -28,10 +28,8 @@ def identified():
     setup = build_nlos_setup(2)
     mask = used_subcarrier_mask()
     schedule = identification_configurations(setup.array)
-    cfrs = [
-        setup.testbed.channel(setup.tx_device, setup.rx_device, c).cfr()[mask]
-        for c in schedule
-    ]
+    basis = setup.testbed.basis_for(setup.tx_device, setup.rx_device)
+    cfrs = [basis.cfr(c)[mask] for c in schedule]
     model = fit_channel_model(
         setup.array, schedule, cfrs, setup.testbed.frequency_hz
     )
@@ -86,9 +84,9 @@ class TestFitAndPredict:
         for rank in (7, 23, 41, 60):
             config = setup.array.configuration_space().configuration_at(rank)
             predicted = model.predict_cfr(setup.array, config)
-            actual = setup.testbed.channel(
-                setup.tx_device, setup.rx_device, config
-            ).cfr()[mask]
+            actual = setup.testbed.basis_for(
+                setup.tx_device, setup.rx_device
+            ).cfr(config)[mask]
             error = np.linalg.norm(predicted - actual) / np.linalg.norm(actual)
             assert error < 0.05  # stub dispersion only
 
@@ -136,9 +134,9 @@ class TestFitAndPredict:
         setup, clean_model, mask, schedule = identified
         noisy_cfrs = []
         for config in schedule:
-            cfr = setup.testbed.channel(
-                setup.tx_device, setup.rx_device, config
-            ).cfr()[mask]
+            cfr = setup.testbed.basis_for(
+                setup.tx_device, setup.rx_device
+            ).cfr(config)[mask]
             scale = 0.02 * np.abs(cfr).mean()
             noisy_cfrs.append(
                 cfr

@@ -26,10 +26,10 @@ def _cfr_measure(setup, array):
     testbed = Testbed(scene=setup.testbed.scene, array=array)
     mask = used_subcarrier_mask()
 
+    basis = testbed.basis_for(setup.tx_device, setup.rx_device)
+
     def measure(configuration):
-        return testbed.channel(
-            setup.tx_device, setup.rx_device, configuration
-        ).cfr()[mask]
+        return basis.cfr(configuration)[mask]
 
     return testbed, measure
 

@@ -12,12 +12,15 @@ from repro.core import (
     ThroughputObjective,
 )
 from repro.core.configuration import ArrayConfiguration
+from repro.em.channel import Channel
 from repro.experiments import (
     StudyConfig,
     build_nlos_setup,
     used_subcarrier_mask,
 )
 from repro.phy import FrameFormat, QAM16, get_code, select_mcs, simulate_link
+
+from .basis_reference import reference_paths
 
 
 class TestControllerOverTestbed:
@@ -84,8 +87,13 @@ class TestPhyOverScenario:
 
     def test_frame_decodes_over_composed_channel(self, rng):
         setup = build_nlos_setup(1)
-        channel = setup.testbed.channel(
-            setup.tx_device, setup.rx_device, ArrayConfiguration((0, 0, 0))
+        testbed = setup.testbed
+        channel = Channel(
+            reference_paths(
+                testbed, setup.tx_device, setup.rx_device, ArrayConfiguration((0, 0, 0))
+            ),
+            num_subcarriers=testbed.num_subcarriers,
+            bandwidth_hz=testbed.bandwidth_hz,
         )
         result = simulate_link(
             channel,

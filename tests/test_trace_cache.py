@@ -8,7 +8,7 @@ from repro.em import trace_cache as trace_cache_module
 from repro.em.antennas import IsotropicAntenna
 from repro.em.geometry import Point
 from repro.em.raytracer import RayTracer
-from repro.em.scene import shoebox_scene
+from repro.em.scene import Scatterer, shoebox_scene
 from repro.em.trace_cache import (
     DEFAULT_MAX_BYTES,
     DEFAULT_MAXSIZE,
@@ -93,11 +93,35 @@ def test_byte_budget_evicts_lru_until_under_budget():
     cache = TraceCache(maxsize=100, max_bytes=2 * per_entry)
     for point in _points(4):
         cache.get_or_trace(tracer, tx, point, antenna, antenna)
-    assert len(cache) == 4  # two traces, each a wall part and a full trace
-    assert cache.evictions == 4
+    # The scene has no scatterers, so a full trace adds nothing to its wall
+    # part's bytes: two wall parts fill the budget.  The third wall part
+    # evicts the first; the fourth evicts the first full trace (zero
+    # bytes) and the second wall part.
+    assert len(cache) == 5
+    assert cache.evictions == 3
     assert cache.current_bytes <= cache.max_bytes
     snap = global_registry().snapshot()
     assert snap.gauges["em.trace_cache.bytes"] == cache.current_bytes
+
+
+def test_full_trace_charges_only_the_paths_it_adds():
+    tracer = _tracer()
+    antenna = IsotropicAntenna()
+    tx, rx = Point(2.0, 2.0), _points(1)[0]
+    cache = TraceCache(maxsize=8)
+    paths = cache.get_or_trace(tracer, tx, rx, antenna, antenna)
+    walls = tracer.wall_paths(tx, rx, antenna, antenna)
+    assert len(cache) == 2
+    assert cache.current_bytes == trace_cache_module._entry_nbytes(tuple(walls))
+
+    # With scatterers, the full trace is charged for its scatterer paths.
+    scattered = RayTracer(
+        tracer.scene.with_scatterers(Scatterer(Point(4.0, 3.0))), max_bounces=1
+    )
+    cache = TraceCache(maxsize=8)
+    paths = cache.get_or_trace(scattered, tx, rx, antenna, antenna)
+    assert len(paths) == len(walls) + 1
+    assert cache.current_bytes == trace_cache_module._entry_nbytes(paths)
 
 
 def test_byte_budget_keeps_single_oversized_entry():
