@@ -61,9 +61,8 @@ def test_bench_trace_speed(once):
     scalar_s = time.perf_counter() - start
 
     def _batch():
-        return tracer.trace_batch(
-            tx_chain.position, points, tx_chain.antenna, rx_chain.antenna
-        )
+        frame = tracer.frame(tx_chain.position, tx_chain.antenna)
+        return frame.trace_batch(points, rx_chain.antenna)
 
     start = time.perf_counter()
     batch = once(_batch)

@@ -291,7 +291,6 @@ def optimize_joint(
     space: Optional[ConfigurationSpace] = None,
     searcher: Searcher = ExhaustiveSearch(),
     aggregate: Optional[LinkAggregate] = None,
-    resync_interval: int = 4096,
 ) -> JointResult:
     """One configuration for all links (the static extreme).
 
@@ -321,10 +320,7 @@ def optimize_joint(
     scorer: Union[DeltaEvaluator, CountingScore]
     if _all_basis_links(links) and searcher.uses_delta:
         scorer = DeltaEvaluator(
-            [link.evaluator for link in links],
-            weights=weights,
-            aggregate=aggregate,
-            resync_interval=resync_interval,
+            [link.evaluator for link in links], weights=weights, aggregate=aggregate
         )
     else:
         link_aggregate = WeightedMeanAggregate() if aggregate is None else aggregate

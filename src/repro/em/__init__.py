@@ -30,11 +30,9 @@ from .geometry import (
     Wall,
     distance,
     mirror_point,
-    path_is_blocked,
     points_on_grid,
     rectangle_walls,
     segment_intersection,
-    segments_intersect,
 )
 from .materials import MATERIALS, Material, get_material, register_material
 from .mobility import MovingScatterer, TimeVaryingScene, walking_person
@@ -80,8 +78,6 @@ __all__ = [
     "distance",
     "mirror_point",
     "segment_intersection",
-    "segments_intersect",
-    "path_is_blocked",
     "points_on_grid",
     "rectangle_walls",
     "Material",

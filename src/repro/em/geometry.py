@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "legs_blocked_packed",
     "distance",
     "mirror_point",
-    "segments_intersect",
     "segment_intersection",
 ]
 
@@ -218,11 +217,6 @@ def segment_intersection(a: Segment, b: Segment) -> Optional[Point]:
     if -_EPS <= t <= 1.0 + _EPS and -_EPS <= u <= 1.0 + _EPS:
         return a.point_at(min(1.0, max(0.0, t)))
     return None
-
-
-def segments_intersect(a: Segment, b: Segment) -> bool:
-    """Whether two segments intersect (endpoints touching count)."""
-    return segment_intersection(a, b) is not None
 
 
 @dataclass(frozen=True)
@@ -445,39 +439,6 @@ def legs_blocked_packed(
     near_end = (hit_x - ex[legs]) ** 2 + (hit_y - ey[legs]) ** 2 <= endpoint_tol**2
     blocked[legs[~(near_start | near_end)]] = True
     return blocked & ~degenerate
-
-
-def path_is_blocked(
-    start: Point,
-    end: Point,
-    obstacles: Iterable[Obstacle],
-    ignore_endpoints: bool = True,
-    endpoint_tol: float = 1e-6,
-) -> bool:
-    """Whether the straight path ``start``→``end`` crosses any obstacle.
-
-    Parameters
-    ----------
-    start, end:
-        Ray endpoints.
-    obstacles:
-        Blocking segments.
-    ignore_endpoints:
-        If true, an intersection that coincides with ``start`` or ``end``
-        (e.g. a reflection point that sits exactly on a wall shared with an
-        obstacle corner) does not count as blockage.
-    """
-    ray = Segment(start, end)
-    for obstacle in obstacles:
-        hit = segment_intersection(ray, obstacle.segment)
-        if hit is None:
-            continue
-        if ignore_endpoints and (
-            distance(hit, start) <= endpoint_tol or distance(hit, end) <= endpoint_tol
-        ):
-            continue
-        return True
-    return False
 
 
 def rectangle_walls(

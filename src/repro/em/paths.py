@@ -198,7 +198,7 @@ def paths_to_cfr(
 class PathBatch:
     """Packed multipath of one transmitter against P receiver positions.
 
-    The output of :meth:`repro.em.raytracer.RayTracer.trace_batch`: every
+    The output of :meth:`repro.em.raytracer.TraceFrame.trace_batch`: every
     candidate path family (LoS, each wall, each ordered wall pair, each
     scatterer) contributes one column, and validity is a mask — so the
     arrays stay rectangular and every downstream consumer is a vectorized

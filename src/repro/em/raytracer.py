@@ -249,20 +249,17 @@ class RayTracer:
         rx: Point,
         tx_antenna: Antenna = IsotropicAntenna(),
         rx_antenna: Antenna = IsotropicAntenna(),
-        include_los: bool = True,
-        include_scatterers: bool = True,
     ) -> list[SignalPath]:
         """All multipath components from ``tx`` to ``rx``.
 
-        Returns LoS (if clear and requested), wall reflections up to
-        ``max_bounces``, and scatterer bounces: :meth:`wall_paths` followed
-        by :meth:`scatterer_paths`.  PRESS element paths are not produced
+        Returns LoS (if clear), wall reflections up to ``max_bounces``, and
+        scatterer bounces: :meth:`wall_paths` followed by
+        :meth:`scatterer_paths`.  PRESS element paths are not produced
         here — the PRESS array layer adds them on top (they depend on the
         array configuration).
         """
-        paths = self.wall_paths(tx, rx, tx_antenna, rx_antenna, include_los)
-        if include_scatterers:
-            paths.extend(self.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
+        paths = self.wall_paths(tx, rx, tx_antenna, rx_antenna)
+        paths.extend(self.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
         return paths
 
     def wall_paths(
@@ -271,9 +268,8 @@ class RayTracer:
         rx: Point,
         tx_antenna: Antenna = IsotropicAntenna(),
         rx_antenna: Antenna = IsotropicAntenna(),
-        include_los: bool = True,
     ) -> list[SignalPath]:
-        """LoS (if clear and requested) and wall reflections up to ``max_bounces``.
+        """LoS (if clear) and wall reflections up to ``max_bounces``, tagged by ``hops``.
 
         The part of :meth:`trace` that no scatterer changes: it reads only
         the walls, the obstacles, the radio settings, the endpoints and
@@ -282,10 +278,9 @@ class RayTracer:
         """
         _TRACES.inc()
         paths: list[SignalPath] = []
-        if include_los:
-            los = self.line_of_sight_path(tx, rx, tx_antenna, rx_antenna)
-            if los is not None:
-                paths.append(los)
+        los = self.line_of_sight_path(tx, rx, tx_antenna, rx_antenna)
+        if los is not None:
+            paths.append(los)
         sequences = [s for group in self._wall_sequences[: self.max_bounces] for s in group]
         paths.extend(self._reflections(tx, rx, sequences, tx_antenna, rx_antenna))
         return paths
@@ -317,28 +312,6 @@ class RayTracer:
             kind="los",
             hops=0,
         )
-
-    def single_bounce_paths(
-        self,
-        tx: Point,
-        rx: Point,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-    ) -> list[SignalPath]:
-        """Specular one-bounce wall reflections (image method)."""
-        singles = self._wall_sequences[0]
-        return self._reflections(tx, rx, singles, tx_antenna, rx_antenna)
-
-    def double_bounce_paths(
-        self,
-        tx: Point,
-        rx: Point,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-    ) -> list[SignalPath]:
-        """Specular two-bounce wall reflections over ordered wall pairs."""
-        pairs = self._wall_sequences[1]
-        return self._reflections(tx, rx, pairs, tx_antenna, rx_antenna)
 
     def _reflections(
         self,
@@ -592,24 +565,6 @@ class RayTracer:
             relays=_relay_half(self, tx, tx_antenna, relays),
         )
 
-    def trace_batch(
-        self,
-        tx: Point,
-        rx_points: Union[Sequence[Point], np.ndarray],
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        include_los: bool = True,
-        include_scatterers: bool = True,
-    ) -> PathBatch:
-        """All multipath components from ``tx`` to every point of a batch.
-
-        :meth:`TraceFrame.trace_batch` on a fresh :meth:`frame`.  Rows match
-        the scalar reference :meth:`trace` (``tests/test_trace_batch.py``).
-        """
-        return self.frame(tx, tx_antenna).trace_batch(
-            rx_points, rx_antenna, include_los, include_scatterers
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class _Relays:
@@ -756,8 +711,6 @@ class TraceFrame:
         self,
         rx_points: Union[Sequence[Point], np.ndarray],
         rx_antenna: Antenna = IsotropicAntenna(),
-        include_los: bool = True,
-        include_scatterers: bool = True,
     ) -> PathBatch:
         """Ambient multipath from the frame's TX to every point of a batch.
 
@@ -765,22 +718,17 @@ class TraceFrame:
         LoS, each wall, each ordered wall pair, each scatterer.
         """
         rx_x, rx_y = _points_to_arrays(rx_points)
-        num = rx_x.shape[0]
         _BATCH_TRACES.inc()
-        _BATCH_POINTS.inc(num)
+        _BATCH_POINTS.inc(rx_x.shape[0])
         # One (gain, delay, aod, aoa, valid) block of (columns, P) per family.
-        blocks: list[tuple[np.ndarray, ...]] = []
-        kinds: list[str] = []
-        hops: list[int] = []
-        if include_los:
-            blocks.append(self._los_block(rx_x, rx_y, rx_antenna))
-            kinds.append("los")
-            hops.append(0)
+        blocks = [self._los_block(rx_x, rx_y, rx_antenna)]
+        kinds = ["los"]
+        hops = [0]
         for group in self.walls:
             blocks.append(self._wall_block(group, rx_x, rx_y, rx_antenna))
             kinds.extend(["wall-reflection"] * len(group))
             hops.extend([group.hops] * len(group))
-        if include_scatterers and len(self.scatterers):
+        if len(self.scatterers):
             amplitude, total, aoa, clear = self.relay_geometry(
                 rx_x, rx_y, rx_antenna, self.scatterers
             )
@@ -795,8 +743,6 @@ class TraceFrame:
             )
             kinds.extend(["scatterer"] * len(self.scatterers))
             hops.extend([1] * len(self.scatterers))
-        if not blocks:
-            blocks.append(tuple(np.zeros((0, num), t) for t in (complex,) + (float,) * 3 + (bool,)))
         gains, delays, aod, aoa, valid = (
             np.ascontiguousarray(np.concatenate(field).T) for field in zip(*blocks)
         )
@@ -887,7 +833,7 @@ class TraceFrame:
     ) -> tuple[np.ndarray, ...]:
         """Every sequence of one wall group against every point, as ``(Q, P)``.
 
-        The batched twin of :meth:`RayTracer._wall_path`: the backward pass
+        The batched twin of :meth:`RayTracer._reflections`: the backward pass
         is one :func:`_ray_segment_hits` broadcast per bounce, and all
         ``hops + 1`` legs share one blockage test.
         """
@@ -971,7 +917,7 @@ def _ray_segment_hits(
 
     Vectorizes ``segment_intersection(Segment(image, target), wall)`` plus
     the ``wall.contains_point(hit, tol)`` validity test of the scalar
-    ``_wall_path``, branch for branch, over the ``(Q, 1)`` sequences of a
+    ``_reflection_points``, branch for branch, over the ``(Q, 1)`` sequences of a
     :class:`_WallGroup` step and ray targets broadcasting to ``(Q, P)``.  Zero-length
     walls never get here: :func:`mirror_point` rejects them when the frame
     is built.

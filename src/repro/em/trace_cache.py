@@ -14,8 +14,8 @@ exactly what it reads, so it is traced once per distinct geometry:
 
 * the LoS and wall paths (:meth:`RayTracer.wall_paths`) by the walls,
   the obstacles, the radio settings, the endpoints and their antennas —
-  scatterers do not change them, so placements of one room share them;
-* the full ambient trace by that plus the scatterers;
+  scatterers do not change them, so placements of one room share them
+  (the scatterer paths are cheap and re-traced on every lookup);
 * an element state tensor ``E[n, m, k]`` by the key its builder
   (:meth:`~repro.core.basis.ChannelBasis.trace_chunked`) passes in.
 
@@ -63,8 +63,6 @@ _MISSES = counter_handle("em.trace_cache.misses")
 _EVICTIONS = counter_handle("em.trace_cache.evictions")
 _BATCH_HITS = counter_handle("em.trace_cache.batch_hits")
 _BATCH_MISSES = counter_handle("em.trace_cache.batch_misses")
-_WALL_HITS = counter_handle("em.trace_cache.wall_hits")
-_WALL_MISSES = counter_handle("em.trace_cache.wall_misses")
 _TENSOR_HITS = counter_handle("em.trace_cache.tensor_hits")
 _TENSOR_MISSES = counter_handle("em.trace_cache.tensor_misses")
 #: Per lookup kind: the instance fields and registry counters of its hits
@@ -73,7 +71,6 @@ _TENSOR_MISSES = counter_handle("em.trace_cache.tensor_misses")
 _KINDS = {
     "ambient": ("hits", "misses", _HITS, _MISSES),
     "batch": ("hits", "misses", _BATCH_HITS, _BATCH_MISSES),
-    "wall": ("wall_hits", "wall_misses", _WALL_HITS, _WALL_MISSES),
     "tensor": ("tensor_hits", "tensor_misses", _TENSOR_HITS, _TENSOR_MISSES),
 }
 _ENTRIES = gauge_handle("em.trace_cache.entries")
@@ -106,21 +103,20 @@ class TraceCache:
 
     Keys combine scene values (immutable dataclasses hashing by field
     values) with the tracer's radio parameters and the endpoint
-    positions/antennas.  Four kinds of entry share one LRU and one budget:
+    positions/antennas.  Three kinds of entry share one LRU and one budget:
 
-    * the ``tuple[SignalPath, ...]`` of :meth:`RayTracer.trace`
+    * the LoS and wall part of :meth:`RayTracer.trace`,
+      :meth:`RayTracer.wall_paths`, keyed without the scatterers
       (:meth:`get_or_trace`);
-    * its LoS and wall part, :meth:`RayTracer.wall_paths`, which
-      :meth:`get_or_trace` looks up on a miss;
     * the :class:`~repro.em.paths.PathBatch` of
       :meth:`TraceFrame.trace_batch`, keyed by the raw coordinate bytes
       (:meth:`get_or_trace_batch`);
     * read-only element state tensors (:meth:`get_or_build_tensor`).
 
     ``hits``/``misses`` count per-instance :meth:`get_or_trace` and
-    :meth:`get_or_trace_batch` lookups, ``wall_hits``/``wall_misses`` and
-    ``tensor_hits``/``tensor_misses`` the other two kinds, and
-    ``evictions`` entries of any kind.  The same events are mirrored into
+    :meth:`get_or_trace_batch` lookups, ``tensor_hits``/``tensor_misses``
+    :meth:`get_or_build_tensor` lookups, and ``evictions`` entries of any
+    kind; each lookup is counted once.  The same events are mirrored into
     the global metrics registry under ``em.trace_cache.*`` so run records
     see totals across all instances and worker processes.
     """
@@ -141,8 +137,6 @@ class TraceCache:
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
-        self.wall_hits = 0
-        self.wall_misses = 0
         self.tensor_hits = 0
         self.tensor_misses = 0
         self.evictions = 0
@@ -203,12 +197,9 @@ class TraceCache:
             rx_antenna,
         )
 
-    def _store(
-        self, key: Hashable, value: object, nbytes: Optional[int] = None
-    ) -> None:
-        """Insert ``value``, charging ``nbytes`` (default: its estimate)."""
-        if nbytes is None:
-            nbytes = _entry_nbytes(value)
+    def _store(self, key: Hashable, value: object) -> None:
+        """Insert ``value``, charging its estimated bytes."""
+        nbytes = _entry_nbytes(value)
         self._entries[key] = value
         self._sizes[key] = nbytes
         self.current_bytes += nbytes
@@ -249,28 +240,22 @@ class TraceCache:
         tx_antenna: Antenna,
         rx_antenna: Antenna,
     ) -> tuple[SignalPath, ...]:
-        """The cached trace for these values, tracing on first request.
+        """:meth:`RayTracer.trace` of these values, its wall part from the cache.
 
-        A miss takes the LoS and wall paths from their own entry, keyed
-        without the scatterers (tracing them on its first request), and
-        traces the scatterer paths after them: the same tuple, in the
-        same order, as :meth:`RayTracer.trace`.
+        The LoS and wall paths come from one entry keyed without the
+        scatterers (:meth:`wall_key`), traced on its first request, so the
+        placements of one room share it.  The scatterer paths, a fraction
+        of the wall part's cost, are traced after them on every call: the
+        same paths, in the same order, as :meth:`RayTracer.trace`.  Each
+        call counts one hit or one miss.
         """
-        wall_key = self.wall_key(tracer, tx, rx, tx_antenna, rx_antenna)
-        key = (wall_key, tracer.scene.scatterers)
-        cached = self._lookup(key, "ambient")
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        walls = self._lookup(wall_key, "wall")
+        key = self.wall_key(tracer, tx, rx, tx_antenna, rx_antenna)
+        walls = self._lookup(key, "ambient")
         if walls is None:
             walls = tuple(tracer.wall_paths(tx, rx, tx_antenna, rx_antenna))
-            self._store(wall_key, walls)
-        scattered = tuple(tracer.scatterer_paths(tx, rx, tx_antenna, rx_antenna))
-        # The wall paths are the wall entry's own objects, already charged
-        # there: the full trace is charged only for the paths it adds.
-        paths = walls + scattered
-        self._store(key, paths, len(scattered) * _SIGNAL_PATH_NBYTES)
-        return paths  # type: ignore[return-value]
+            self._store(key, walls)
+        scattered = tracer.scatterer_paths(tx, rx, tx_antenna, rx_antenna)
+        return walls + tuple(scattered)  # type: ignore[operator]
 
     def get_or_build_tensor(
         self, key: Hashable, build: Callable[[], np.ndarray]
@@ -327,8 +312,6 @@ class TraceCache:
         """
         self.hits = 0
         self.misses = 0
-        self.wall_hits = 0
-        self.wall_misses = 0
         self.tensor_hits = 0
         self.tensor_misses = 0
         self.evictions = 0

@@ -274,9 +274,7 @@ def run_control_robustness(
         seeds={"base_seed": base_seed, "placement_seed": placement_seed},
     ) as recorder:
         since = current_sample()
-        cells, samples = run_parallel(
-            _robustness_task, tasks, jobs=jobs, collect_obs=True
-        )
+        cells, samples = run_parallel(_robustness_task, tasks, jobs=jobs)
         recorder.add_worker_samples(samples)
         telemetry = merged_telemetry(samples, since=since)
     return ControlRobustnessResult(cells=tuple(cells), telemetry=telemetry)

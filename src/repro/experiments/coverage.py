@@ -188,8 +188,6 @@ def run_coverage_suite(
         jobs=jobs,
         seeds={"placement_seeds": [int(seed) for seed in placement_seeds]},
     ) as recorder:
-        maps, samples = run_parallel(
-            _coverage_task, tasks, jobs=jobs, collect_obs=True
-        )
+        maps, samples = run_parallel(_coverage_task, tasks, jobs=jobs)
         recorder.add_worker_samples(samples)
     return maps

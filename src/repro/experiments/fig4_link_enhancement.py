@@ -192,8 +192,6 @@ def run_fig4(
             _fig4_task_for(placement_seed, repetitions, config, noise_seed)
             for placement_seed in range(num_placements)
         ]
-        placements, samples = run_parallel(
-            _fig4_placement_task, tasks, jobs=jobs, collect_obs=True
-        )
+        placements, samples = run_parallel(_fig4_placement_task, tasks, jobs=jobs)
         recorder.add_worker_samples(samples)
     return Fig4Result(placements=tuple(placements))

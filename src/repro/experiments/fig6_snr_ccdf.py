@@ -100,16 +100,17 @@ def run_fig6(
 ) -> Fig6Result:
     """Run the Figure 6 experiment at the Figure 5 placement.
 
-    ``jobs=None`` (default) keeps the historical serial route: one rng
-    stream consumed across all repetitions in order.  Any explicit
-    ``jobs`` — including ``jobs=1`` — switches the repetition axis to
-    per-rep streams derived with ``SeedSequence.spawn`` so repetitions can
-    fan across processes; that scheme's results are bit-identical at every
-    worker count (but are a different, equally valid random realisation
-    than the legacy single-stream route).  ``record_to`` appends a
-    schema-validated run record to the given JSONL file.
+    Each repetition draws from its own ``SeedSequence.spawn`` child of
+    ``noise_seed``, so repetitions fan across ``jobs`` processes and the
+    result is bit-identical at every ``jobs`` value, ``None`` included.
+    ``record_to`` appends a schema-validated run record to the given JSONL
+    file.
     """
     mask = used_subcarrier_mask()
+    tasks = [
+        (placement_seed, config, seed_seq)
+        for seed_seq in derive_seeds(noise_seed, repetitions)
+    ]
     with RunRecorder(
         "fig6",
         config={
@@ -120,22 +121,8 @@ def run_fig6(
         jobs=jobs,
         seeds={"noise_seed": noise_seed, "placement_seed": placement_seed},
     ) as recorder:
-        if jobs is None:
-            setup = build_nlos_setup(placement_seed, config)
-            rng = np.random.default_rng(noise_seed)
-            sweep = setup.testbed.sweep(
-                setup.tx_device, setup.rx_device, repetitions=repetitions, rng=rng
-            )
-            snr_reps = [sweep.snr_db[rep] for rep in range(repetitions)]
-        else:
-            tasks = [
-                (placement_seed, config, seed_seq)
-                for seed_seq in derive_seeds(noise_seed, repetitions)
-            ]
-            snr_reps, samples = run_parallel(
-                _fig6_rep_task, tasks, jobs=jobs, collect_obs=True
-            )
-            recorder.add_worker_samples(samples)
+        snr_reps, samples = run_parallel(_fig6_rep_task, tasks, jobs=jobs)
+        recorder.add_worker_samples(samples)
     per_rep = [snr[:, mask] for snr in snr_reps]
     change_pairs = np.concatenate([min_snr_changes(snr) for snr in per_rep])
     minima_per_trial = tuple(min_snrs(snr) for snr in per_rep)

@@ -163,9 +163,7 @@ def run_fig7(
                 (placement_seed, config, noise_seed)
                 for placement_seed in range(max_seeds)
             ]
-            candidates, samples = run_parallel(
-                _fig7_seed_task, tasks, jobs=jobs, collect_obs=True
-            )
+            candidates, samples = run_parallel(_fig7_seed_task, tasks, jobs=jobs)
             recorder.add_worker_samples(samples)
             accepted = select(candidates)
             chosen = accepted or max(

@@ -262,8 +262,6 @@ def run_large_array(
         jobs=jobs,
         seeds={"base_seed": base_seed, "placement_seed": placement_seed},
     ) as recorder:
-        cells, samples = run_parallel(
-            _large_array_task, tasks, jobs=jobs, collect_obs=True
-        )
+        cells, samples = run_parallel(_large_array_task, tasks, jobs=jobs)
         recorder.add_worker_samples(samples)
     return LargeArrayResult(cells=tuple(cells))

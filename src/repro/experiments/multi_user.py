@@ -340,12 +340,8 @@ def run_multi_user(
         jobs=jobs,
         seeds={"base_seed": base_seed, "placement_seed": placement_seed},
     ) as recorder:
-        cells, samples = run_parallel(
-            _strategy_task, strategy_tasks, jobs=jobs, collect_obs=True
-        )
+        cells, samples = run_parallel(_strategy_task, strategy_tasks, jobs=jobs)
         recorder.add_worker_samples(samples)
-        admission, samples = run_parallel(
-            _admission_task, admission_tasks, jobs=jobs, collect_obs=True
-        )
+        admission, samples = run_parallel(_admission_task, admission_tasks, jobs=jobs)
         recorder.add_worker_samples(samples)
     return MultiUserResult(cells=tuple(cells), admission=tuple(admission))

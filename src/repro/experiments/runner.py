@@ -14,7 +14,7 @@ how those axes fan out:
   parallel tasks independent streams from one base seed.  Results depend
   only on ``(base_seed, task index)``, never on worker scheduling, so any
   ``jobs`` value reproduces any other.
-* With ``collect_obs=True``, :func:`run_parallel` also returns each task's
+* :func:`run_parallel` also returns each worker task's
   observability delta — the per-worker metrics/span sample the run-record
   sink merges into a complete run-level view at any ``--jobs``
   (:func:`merged_telemetry`), parent and workers alike.
@@ -96,7 +96,7 @@ def merged_telemetry(
 
     Merges the parent process's registry (optionally only its delta
     ``since`` a sample taken at run start) with the per-task worker
-    samples ``run_parallel(collect_obs=True)`` returned.  Hit/miss totals cover per-link and batched lookups;
+    samples ``run_parallel`` returned.  Hit/miss totals cover per-link and batched lookups;
     ``trace_cache_entries`` sums residency over the distinct processes.
     """
     parent = current_sample()
@@ -255,9 +255,7 @@ def run_parallel(
     fn: Callable[[TaskT], ResultT],
     tasks: Sequence[TaskT],
     jobs: Optional[int] = None,
-    chunksize: int = 1,
-    collect_obs: bool = False,
-):
+) -> Tuple[List[ResultT], List[ObsSample]]:
     """Map ``fn`` over ``tasks``, optionally across worker processes.
 
     Results come back in task order regardless of completion order.  With
@@ -273,45 +271,35 @@ def run_parallel(
         The task payloads; each must be picklable when ``jobs > 1``.
     jobs:
         Worker processes: ``None``/``1`` serial, ``<= 0`` all CPUs.
-    chunksize:
-        Tasks handed to a worker per dispatch (larger amortises IPC for
-        many small tasks).
-    collect_obs:
-        When true, return ``(results, worker_samples)`` where
-        ``worker_samples`` is one :class:`~repro.obs.records.ObsSample`
-        delta per task executed in a *worker* process.  The serial path
-        returns an empty sample list — everything it records is already in
-        the parent registry, so a caller measuring its own parent delta
-        (e.g. :class:`~repro.obs.records.RunRecorder`) sees each event
-        exactly once at any ``jobs`` value.
 
     Returns
     -------
-    list, or ``(list, list[ObsSample])`` when ``collect_obs`` is true.
+    ``(results, worker_samples)``, where ``worker_samples`` is one
+    :class:`~repro.obs.records.ObsSample` delta per task executed in a
+    *worker* process.  The serial path returns an empty sample list —
+    everything it records is already in the parent registry, so a caller
+    measuring its own parent delta (e.g.
+    :class:`~repro.obs.records.RunRecorder`) sees each event exactly once
+    at any ``jobs`` value.
     """
     task_list = list(tasks)
     num_workers = resolve_jobs(jobs)
+    wrapped = _ObservedTask(fn)
     if num_workers <= 1 or len(task_list) <= 1:
-        if not collect_obs:
-            return [fn(task) for task in task_list]
         # Serial tasks record straight into the parent registry/tracer (the
         # per-task span included), so the caller's own parent delta already
         # covers them — returning samples too would double count.
-        wrapped = _ObservedTask(fn)
         return [wrapped(task)[0] for task in task_list], []
     num_workers = min(num_workers, len(task_list))
-    mapped_fn = _ObservedTask(fn) if collect_obs else fn
     try:
         pool = _shared_pool(num_workers)
-        mapped = list(pool.map(mapped_fn, task_list, chunksize=chunksize))
+        mapped = list(pool.map(wrapped, task_list))
     except BrokenProcessPool:
         # A worker died (OOM, signal).  Replace the pool once and retry —
         # task functions are pure, so a retry is safe.
         dispose_shared_pool(num_workers, pool)
         pool = _shared_pool(num_workers)
-        mapped = list(pool.map(mapped_fn, task_list, chunksize=chunksize))
-    if not collect_obs:
-        return mapped
+        mapped = list(pool.map(wrapped, task_list))
     results: List[ResultT] = [result for result, _ in mapped]
     samples = [sample for _, sample in mapped]
     return results, samples

@@ -193,8 +193,7 @@ class RunRecorder:
 
         with RunRecorder("coverage_suite", config={...}, path=record_to,
                          jobs=jobs) as recorder:
-            results, samples = run_parallel(task, tasks, jobs=jobs,
-                                            collect_obs=True)
+            results, samples = run_parallel(task, tasks, jobs=jobs)
             recorder.add_worker_samples(samples)
 
     On exit the recorder computes the parent process's metrics/span delta
@@ -228,7 +227,7 @@ class RunRecorder:
         return self
 
     def add_worker_samples(self, samples: Sequence[ObsSample]) -> None:
-        """Attach per-task deltas returned by ``run_parallel(collect_obs=True)``."""
+        """Attach per-task deltas returned by ``run_parallel``."""
         self._worker_samples.extend(samples)
 
     def add_request_traces(

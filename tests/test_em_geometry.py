@@ -10,12 +10,12 @@ from repro.em.geometry import (
     Point,
     Segment,
     distance,
+    leg_blocked_packed,
     mirror_point,
-    path_is_blocked,
+    pack_segments,
     points_on_grid,
     rectangle_walls,
     segment_intersection,
-    segments_intersect,
 )
 
 
@@ -103,36 +103,40 @@ class TestIntersection:
     def test_collinear_overlap(self):
         a = Segment(Point(0, 0), Point(4, 0))
         b = Segment(Point(2, 0), Point(6, 0))
-        assert segments_intersect(a, b)
+        assert segment_intersection(a, b) is not None
 
     def test_collinear_disjoint(self):
         a = Segment(Point(0, 0), Point(1, 0))
         b = Segment(Point(2, 0), Point(3, 0))
-        assert not segments_intersect(a, b)
+        assert segment_intersection(a, b) is None
 
     def test_touching_endpoints_count(self):
         a = Segment(Point(0, 0), Point(1, 0))
         b = Segment(Point(1, 0), Point(1, 5))
-        assert segments_intersect(a, b)
+        assert segment_intersection(a, b) is not None
 
     def test_near_miss(self):
         a = Segment(Point(0, 0), Point(1, 0))
         b = Segment(Point(0.5, 0.01), Point(0.5, 1))
-        assert not segments_intersect(a, b)
+        assert segment_intersection(a, b) is None
+
+
+def _blocked(start, end, obstacles):
+    return leg_blocked_packed(start, end, pack_segments([o.segment for o in obstacles]))
 
 
 class TestBlockage:
     def test_blocked_path(self):
         wall = Obstacle(Segment(Point(1, -1), Point(1, 1)))
-        assert path_is_blocked(Point(0, 0), Point(2, 0), [wall])
+        assert _blocked(Point(0, 0), Point(2, 0), [wall])
 
     def test_clear_path(self):
         wall = Obstacle(Segment(Point(1, 1), Point(1, 2)))
-        assert not path_is_blocked(Point(0, 0), Point(2, 0), [wall])
+        assert not _blocked(Point(0, 0), Point(2, 0), [wall])
 
     def test_endpoint_touch_ignored(self):
         wall = Obstacle(Segment(Point(0, -1), Point(0, 1)))
-        assert not path_is_blocked(Point(0, 0), Point(2, 0), [wall])
+        assert not _blocked(Point(0, 0), Point(2, 0), [wall])
 
 
 class TestRectangleWalls:

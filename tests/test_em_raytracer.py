@@ -17,6 +17,11 @@ from repro.em.raytracer import (
 from repro.em.scene import Scatterer, Scene, blocker_between, shoebox_scene
 
 
+def _bounces(tracer, tx, rx, hops):
+    """The wall reflections of ``tracer.wall_paths`` with ``hops`` bounces."""
+    return [p for p in tracer.wall_paths(tx, rx) if p.hops == hops]
+
+
 class TestFreeSpace:
     def test_amplitude_inverse_distance(self):
         a1 = free_space_amplitude(1.0, WAVELENGTH_M)
@@ -85,14 +90,14 @@ class TestLineOfSight:
 class TestWallReflections:
     def test_single_bounce_count_in_rectangle(self, simple_scene):
         tracer = RayTracer(simple_scene, max_bounces=1)
-        paths = tracer.single_bounce_paths(Point(2, 3), Point(6, 3))
+        paths = _bounces(tracer, Point(2, 3), Point(6, 3), 1)
         # All four walls give a specular bounce for an interior link.
         assert len(paths) == 4
 
     def test_image_method_delay(self, simple_scene):
         # Bottom wall (y=0): path length = |(2,3) -> image (6,-3)| = sqrt(16+36).
         tracer = RayTracer(simple_scene, max_bounces=1)
-        paths = tracer.single_bounce_paths(Point(2, 3), Point(6, 3))
+        paths = _bounces(tracer, Point(2, 3), Point(6, 3), 1)
         expected = math.sqrt(4.0**2 + 6.0**2) / SPEED_OF_LIGHT
         delays = [p.delay_s for p in paths]
         assert any(d == pytest.approx(expected, rel=1e-9) for d in delays)
@@ -100,25 +105,24 @@ class TestWallReflections:
     def test_reflection_attenuated_by_material(self):
         metal = shoebox_scene(8.0, 6.0, material="metal")
         dry = shoebox_scene(8.0, 6.0, material="drywall")
-        p_metal = RayTracer(metal, max_bounces=1).single_bounce_paths(
-            Point(2, 3), Point(6, 3)
-        )
-        p_dry = RayTracer(dry, max_bounces=1).single_bounce_paths(
-            Point(2, 3), Point(6, 3)
-        )
+        p_metal = _bounces(RayTracer(metal, max_bounces=1), Point(2, 3), Point(6, 3), 1)
+        p_dry = _bounces(RayTracer(dry, max_bounces=1), Point(2, 3), Point(6, 3), 1)
         assert abs(p_metal[0].gain) > abs(p_dry[0].gain)
 
     def test_double_bounce_weaker_than_single(self, simple_scene):
         tracer = RayTracer(simple_scene, max_bounces=2)
-        single = tracer.single_bounce_paths(Point(2, 3), Point(6, 3))
-        double = tracer.double_bounce_paths(Point(2, 3), Point(6, 3))
+        single = _bounces(tracer, Point(2, 3), Point(6, 3), 1)
+        double = _bounces(tracer, Point(2, 3), Point(6, 3), 2)
         assert double  # exist
         assert max(p.power for p in double) < max(p.power for p in single)
 
     def test_double_bounce_hops_tagged(self, simple_scene):
-        tracer = RayTracer(simple_scene, max_bounces=2)
-        for path in tracer.double_bounce_paths(Point(2, 3), Point(6, 3)):
-            assert path.hops == 2
+        tx, rx = Point(2, 3), Point(6, 3)
+        one = RayTracer(simple_scene, max_bounces=1).wall_paths(tx, rx)
+        two = RayTracer(simple_scene, max_bounces=2).wall_paths(tx, rx)
+        assert two[: len(one)] == one
+        assert len(two) > len(one)
+        assert all(path.hops == 2 for path in two[len(one) :])
 
     def test_obstacle_blocks_reflection(self, simple_scene):
         # A big obstacle just below the link blocks the floor bounce; the
@@ -129,9 +133,7 @@ class TestWallReflections:
         floor_delay = math.sqrt(16 + 36) / SPEED_OF_LIGHT
 
         def count_at_delay(scene):
-            paths = RayTracer(scene, max_bounces=1).single_bounce_paths(
-                Point(2, 3), Point(6, 3)
-            )
+            paths = _bounces(RayTracer(scene, max_bounces=1), Point(2, 3), Point(6, 3), 1)
             return sum(
                 1 for p in paths if p.delay_s == pytest.approx(floor_delay, rel=1e-6)
             )

@@ -84,7 +84,7 @@ def test_state_tensor_budget_raises_before_tracing(monkeypatch):
     needed = basis_module.state_tensor_nbytes(64, max_states, testbed.num_subcarriers)
     monkeypatch.setattr(basis_module, "STATE_TENSOR_BUDGET_BYTES", needed - 1)
     cache = trace_cache.global_trace_cache()
-    before = (len(cache), cache.misses, cache.wall_misses)
+    before = (len(cache), cache.misses)
     tx = setup.tx_device.chains[0]
     rx = setup.rx_device.chains[0]
     with pytest.raises(StateTensorBudgetExceeded, match=f"needs {needed} bytes"):
@@ -98,7 +98,7 @@ def test_state_tensor_budget_raises_before_tracing(monkeypatch):
             num_subcarriers=testbed.num_subcarriers,
             bandwidth_hz=testbed.bandwidth_hz,
         )
-    assert (len(cache), cache.misses, cache.wall_misses) == before
+    assert (len(cache), cache.misses) == before
     assert cache.tensor_misses == 0
 
 

@@ -404,7 +404,7 @@ def test_trace_cache_counts_evictions_and_resets():
     for point in points:
         cache.get_or_trace(tracer, tx, point, antenna, antenna)
     assert cache.misses == 3
-    assert cache.evictions == 4  # each trace stores its wall part and itself
+    assert cache.evictions == 1  # each trace stores its wall part
     assert len(cache) == 2
     cache.get_or_trace(tracer, tx, points[-1], antenna, antenna)
     assert cache.hits == 1

@@ -9,10 +9,13 @@ process-wide trace cache.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from repro.em import global_trace_cache
 from repro.experiments import (
+    Fig6Result,
     StudyConfig,
     build_nlos_setup,
     derive_seeds,
@@ -33,14 +36,16 @@ def _square(task: int) -> int:
 def test_run_parallel_preserves_order_serial_and_parallel():
     tasks = list(range(17))
     expected = [t * t for t in tasks]
-    assert run_parallel(_square, tasks, jobs=None) == expected
-    assert run_parallel(_square, tasks, jobs=1) == expected
-    assert run_parallel(_square, tasks, jobs=4) == expected
+    assert run_parallel(_square, tasks, jobs=None) == (expected, [])
+    assert run_parallel(_square, tasks, jobs=1) == (expected, [])
+    results, samples = run_parallel(_square, tasks, jobs=4)
+    assert results == expected
+    assert len(samples) == len(tasks)
 
 
 def test_run_parallel_empty_and_single():
-    assert run_parallel(_square, [], jobs=4) == []
-    assert run_parallel(_square, [3], jobs=4) == [9]
+    assert run_parallel(_square, [], jobs=4) == ([], [])
+    assert run_parallel(_square, [3], jobs=4) == ([9], [])
 
 
 def test_resolve_jobs():
@@ -94,12 +99,14 @@ def test_fig6_explicit_jobs_identical_across_worker_counts():
     assert jobs1.fraction_configs_below_20db == jobs4.fraction_configs_below_20db
 
 
-def test_fig6_default_keeps_legacy_stream():
-    legacy = run_fig6(repetitions=2)
-    again = run_fig6(repetitions=2, jobs=None)
-    np.testing.assert_array_equal(
-        legacy.min_snr_change_pairs, again.min_snr_change_pairs
-    )
+def test_fig6_every_field_identical_at_any_jobs():
+    """The default ``jobs=None`` draws the same per-repetition streams too."""
+    default, *others = (run_fig6(repetitions=3, jobs=jobs) for jobs in (None, 1, 2))
+    for other in others:
+        for field in fields(Fig6Result):
+            np.testing.assert_array_equal(
+                getattr(default, field.name), getattr(other, field.name)
+            )
 
 
 def test_fig7_parallel_matches_serial():

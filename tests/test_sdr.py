@@ -9,6 +9,7 @@ from repro.core.configuration import ArrayConfiguration
 from repro.core.element import omni_element
 from repro.em.geometry import Point
 from repro.em.scene import blocker_between, shoebox_scene
+from repro.em.trace_cache import global_trace_cache
 from repro.sdr.device import SdrDevice, usrp_n210, usrp_x310, warp_v3
 from repro.sdr.frontend import (
     FrontendImpairments,
@@ -143,7 +144,11 @@ class TestTestbed:
         tx, rx = devices
         first = testbed.environment_paths(tx, rx)
         second = testbed.environment_paths(tx, rx)
-        assert first is second
+        assert first == second
+        # The second lookup hits the wall part and re-traces only the
+        # scatterer paths.
+        cache = global_trace_cache()
+        assert (cache.misses, cache.hits) == (1, 1)
 
     def test_measure_csi_shapes(self, testbed, devices, rng):
         tx, rx = devices

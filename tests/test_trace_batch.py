@@ -1,9 +1,10 @@
 """Batched ray tracing must reproduce the per-point scalar trace exactly.
 
-``RayTracer.trace_batch`` is a pure re-vectorisation of ``trace`` — same
-candidate enumeration, same blockage rules, same amplitude folds — so for
-every receiver point the compressed batch row must match the scalar path
-list path-for-path: count, kind order, complex gain, delay and angles.
+``TraceFrame.trace_batch`` is a pure re-vectorisation of
+``RayTracer.trace`` — same candidate enumeration, same blockage rules,
+same amplitude folds — so for every receiver point the compressed batch
+row must match the scalar path list path-for-path: count, kind order,
+complex gain, delay and angles.
 The same discipline applies one layer up to ``ChannelBasis.trace_batch``
 and ``Testbed.bases_for_points``.
 """
@@ -30,6 +31,11 @@ def _grid_around(center: Point, rows: int = 3, cols: int = 5) -> list[Point]:
     return [Point(float(x), float(y)) for y in ys for x in xs]
 
 
+def _trace_batch(tracer, tx_chain, points, rx_antenna):
+    """The batch trace of a fresh frame of ``tx_chain``."""
+    return tracer.frame(tx_chain.position, tx_chain.antenna).trace_batch(points, rx_antenna)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 7])
 @pytest.mark.parametrize("builder", [build_nlos_setup, build_los_setup])
 def test_trace_batch_matches_scalar_trace(builder, seed):
@@ -39,9 +45,7 @@ def test_trace_batch_matches_scalar_trace(builder, seed):
     rx_chain = setup.rx_device.chains[0]
     points = _grid_around(rx_chain.position)
 
-    batch = tracer.trace_batch(
-        tx_chain.position, points, tx_chain.antenna, rx_chain.antenna
-    )
+    batch = _trace_batch(tracer, tx_chain, points, rx_chain.antenna)
     assert batch.num_points == len(points)
     for index, point in enumerate(points):
         scalar = tracer.trace(
@@ -64,9 +68,7 @@ def test_trace_batch_counts_and_point_arrays():
     tx_chain = setup.tx_device.chains[0]
     rx_chain = setup.rx_device.chains[0]
     points = _grid_around(rx_chain.position)
-    batch = tracer.trace_batch(
-        tx_chain.position, points, tx_chain.antenna, rx_chain.antenna
-    )
+    batch = _trace_batch(tracer, tx_chain, points, rx_chain.antenna)
     counts = batch.counts()
     for index, point in enumerate(points):
         scalar = tracer.trace(
@@ -82,46 +84,13 @@ def test_trace_batch_counts_and_point_arrays():
         )
 
 
-def test_trace_batch_options_match_scalar():
-    setup = build_nlos_setup(3, StudyConfig())
-    tracer = setup.testbed.tracer
-    tx_chain = setup.tx_device.chains[0]
-    rx_chain = setup.rx_device.chains[0]
-    points = _grid_around(rx_chain.position, rows=2, cols=3)
-    for include_los in (True, False):
-        for include_scatterers in (True, False):
-            batch = tracer.trace_batch(
-                tx_chain.position,
-                points,
-                tx_chain.antenna,
-                rx_chain.antenna,
-                include_los=include_los,
-                include_scatterers=include_scatterers,
-            )
-            for index, point in enumerate(points):
-                scalar = tracer.trace(
-                    tx_chain.position,
-                    point,
-                    tx_chain.antenna,
-                    rx_chain.antenna,
-                    include_los=include_los,
-                    include_scatterers=include_scatterers,
-                )
-                paths = batch.paths(index)
-                assert [p.kind for p in paths] == [p.kind for p in scalar]
-                for got, want in zip(paths, scalar):
-                    assert abs(got.gain - want.gain) <= GAIN_TOL
-
-
 def test_path_batch_cfr_matches_paths_to_cfr():
     setup = build_nlos_setup(2, StudyConfig())
     tracer = setup.testbed.tracer
     tx_chain = setup.tx_device.chains[0]
     rx_chain = setup.rx_device.chains[0]
     points = _grid_around(rx_chain.position, rows=2, cols=4)
-    batch = tracer.trace_batch(
-        tx_chain.position, points, tx_chain.antenna, rx_chain.antenna
-    )
+    batch = _trace_batch(tracer, tx_chain, points, rx_chain.antenna)
     freqs = subcarrier_frequencies(
         setup.testbed.num_subcarriers, setup.testbed.bandwidth_hz
     )
@@ -196,12 +165,8 @@ def test_trace_batch_accepts_ndarray_points():
     rx_chain = setup.rx_device.chains[0]
     points = _grid_around(rx_chain.position, rows=2, cols=2)
     as_array = np.array([[p.x, p.y] for p in points])
-    from_list = tracer.trace_batch(
-        tx_chain.position, points, tx_chain.antenna, rx_chain.antenna
-    )
-    from_array = tracer.trace_batch(
-        tx_chain.position, as_array, tx_chain.antenna, rx_chain.antenna
-    )
+    from_list = _trace_batch(tracer, tx_chain, points, rx_chain.antenna)
+    from_array = _trace_batch(tracer, tx_chain, as_array, rx_chain.antenna)
     np.testing.assert_array_equal(from_list.valid, from_array.valid)
     np.testing.assert_array_equal(from_list.gains, from_array.gains)
     np.testing.assert_array_equal(from_list.delays_s, from_array.delays_s)

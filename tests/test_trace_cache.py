@@ -35,8 +35,8 @@ def _points(n):
 
 def test_hit_promotes_entry_to_most_recent():
     tracer = _tracer()
-    # A first trace stores two entries, its wall part and the full trace.
-    cache = TraceCache(maxsize=3)
+    # A trace stores one entry, its wall part.
+    cache = TraceCache(maxsize=2)
     antenna = IsotropicAntenna()
     tx = Point(2.0, 2.0)
     hot, cold, third = _points(3)
@@ -47,7 +47,7 @@ def test_hit_promotes_entry_to_most_recent():
     # evict `cold`, not `hot`.
     cache.get_or_trace(tracer, tx, hot, antenna, antenna)
     cache.get_or_trace(tracer, tx, third, antenna, antenna)
-    assert cache.evictions == 3  # hot's wall part, cold's, then cold
+    assert cache.evictions == 1  # cold
 
     cache.get_or_trace(tracer, tx, hot, antenna, antenna)
     assert cache.hits == 2  # hot survived
@@ -93,35 +93,53 @@ def test_byte_budget_evicts_lru_until_under_budget():
     cache = TraceCache(maxsize=100, max_bytes=2 * per_entry)
     for point in _points(4):
         cache.get_or_trace(tracer, tx, point, antenna, antenna)
-    # The scene has no scatterers, so a full trace adds nothing to its wall
-    # part's bytes: two wall parts fill the budget.  The third wall part
-    # evicts the first; the fourth evicts the first full trace (zero
-    # bytes) and the second wall part.
-    assert len(cache) == 5
-    assert cache.evictions == 3
+    # Two wall parts fill the budget: the third evicts the first and the
+    # fourth the second.
+    assert len(cache) == 2
+    assert cache.evictions == 2
     assert cache.current_bytes <= cache.max_bytes
     snap = global_registry().snapshot()
     assert snap.gauges["em.trace_cache.bytes"] == cache.current_bytes
 
 
-def test_full_trace_charges_only_the_paths_it_adds():
-    tracer = _tracer()
+def test_trace_is_one_wall_entry_plus_fresh_scatterer_paths():
+    tracer = RayTracer(
+        _tracer().scene.with_scatterers(Scatterer(Point(4.0, 3.0))), max_bounces=1
+    )
     antenna = IsotropicAntenna()
     tx, rx = Point(2.0, 2.0), _points(1)[0]
     cache = TraceCache(maxsize=8)
     paths = cache.get_or_trace(tracer, tx, rx, antenna, antenna)
     walls = tracer.wall_paths(tx, rx, antenna, antenna)
-    assert len(cache) == 2
-    assert cache.current_bytes == trace_cache_module._entry_nbytes(tuple(walls))
-
-    # With scatterers, the full trace is charged for its scatterer paths.
-    scattered = RayTracer(
-        tracer.scene.with_scatterers(Scatterer(Point(4.0, 3.0))), max_bounces=1
-    )
-    cache = TraceCache(maxsize=8)
-    paths = cache.get_or_trace(scattered, tx, rx, antenna, antenna)
     assert len(paths) == len(walls) + 1
-    assert cache.current_bytes == trace_cache_module._entry_nbytes(paths)
+    assert len(cache) == 1
+    assert cache.current_bytes == trace_cache_module._entry_nbytes(tuple(walls))
+    assert cache.get_or_trace(tracer, tx, rx, antenna, antenna) == paths
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_resident_bytes_match_entries_across_placements_of_one_room():
+    """Two placements of one room, traced in turn under a one-wall-part budget."""
+    room = _tracer().scene
+    placements = [
+        RayTracer(room.with_scatterers(Scatterer(position)), max_bounces=1)
+        for position in (Point(4.0, 3.0), Point(1.5, 4.0))
+    ]
+    antenna = IsotropicAntenna()
+    tx, points = Point(2.0, 2.0), _points(2)
+    probe = TraceCache(maxsize=8)
+    probe.get_or_trace(placements[0], tx, points[0], antenna, antenna)
+    cache = TraceCache(maxsize=100, max_bytes=2 * probe.current_bytes - 1)
+    for _ in range(2):
+        for rx in points:
+            for tracer in placements:
+                paths = cache.get_or_trace(tracer, tx, rx, antenna, antenna)
+                assert paths == tuple(tracer.trace(tx, rx, antenna, antenna))
+                resident = cache._entries.values()
+                assert cache.current_bytes == sum(map(trace_cache_module._entry_nbytes, resident))
+    # Each receiver's wall part serves the second placement, then yields
+    # to the other receiver's.
+    assert (cache.hits, cache.misses, cache.evictions) == (4, 4, 3)
 
 
 def test_byte_budget_keeps_single_oversized_entry():
@@ -135,7 +153,8 @@ def test_byte_budget_keeps_single_oversized_entry():
     again = cache.get_or_trace(
         tracer, Point(2.0, 2.0), _points(1)[0], antenna, antenna
     )
-    assert again is paths
+    assert again == paths
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_batch_entries_account_array_bytes():
@@ -191,7 +210,7 @@ def test_reset_clears_previous_global_entries():
     antenna = IsotropicAntenna()
     cache = configure(maxsize=16)
     cache.get_or_trace(tracer, Point(2.0, 2.0), _points(1)[0], antenna, antenna)
-    assert len(cache) == 2  # the wall part and the full trace
+    assert len(cache) == 1  # the wall part
     trace_cache_module.reset()
     # The old instance was drained, so stale references hold no arrays.
     assert len(cache) == 0

@@ -40,7 +40,7 @@ def _points(center: Point, seed: int, count: int = 6) -> list[Point]:
 
 
 def _assert_rows_match_scalar(tracer, tx_chain, rx_antenna, points) -> None:
-    batch = tracer.trace_batch(tx_chain.position, points, tx_chain.antenna, rx_antenna)
+    batch = tracer.frame(tx_chain.position, tx_chain.antenna).trace_batch(points, rx_antenna)
     for index, point in enumerate(points):
         scalar = tracer.trace(tx_chain.position, point, tx_chain.antenna, rx_antenna)
         paths = batch.paths(index)

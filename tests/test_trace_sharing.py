@@ -2,7 +2,7 @@
 
 ``ChannelBasis.trace_chunked`` takes its element tensor from the
 process-wide trace cache, keyed by every value the build reads, and the
-cache's ambient trace takes its LoS and wall paths from an entry keyed
+cache keeps an ambient trace's LoS and wall paths in an entry keyed
 without the scatterers.  A build that hits either part must give the
 bytes of a fresh build, a build that changes what a part reads must miss
 it, and the cache must not keep every tensor a process builds.
@@ -47,7 +47,7 @@ def _build(spec_or_setup):
 def _counts(cache) -> dict:
     return {
         name: getattr(cache, name)
-        for name in ("hits", "misses", "wall_hits", "wall_misses", "tensor_hits", "tensor_misses")
+        for name in ("hits", "misses", "tensor_hits", "tensor_misses")
     }
 
 
@@ -56,11 +56,8 @@ def test_golden_scenes_in_one_cache_and_in_fresh_caches():
     cache = trace_cache.reset()
     shared = [build_session(spec).basis for spec in specs]
     # Five N = 256 placements share one tensor and all seven share one
-    # wall part; placement 0's three sizes share one ambient trace.
-    assert _counts(cache) == {
-        "hits": 2, "misses": 5, "wall_hits": 4, "wall_misses": 1,
-        "tensor_hits": 4, "tensor_misses": 3,
-    }
+    # wall part.
+    assert _counts(cache) == {"hits": 6, "misses": 1, "tensor_hits": 4, "tensor_misses": 3}
     assert all(shared[p].state_tensor is shared[0].state_tensor for p in range(5))
     for spec, basis in zip(specs, shared):
         assert _shas(basis) == SCENES[spec.placement, spec.num_elements]
@@ -78,11 +75,9 @@ def test_counters_mirror_each_entry_kind():
     after = global_registry().snapshot().counters
     delta = {
         name: after.get(f"em.trace_cache.{name}", 0) - before.get(f"em.trace_cache.{name}", 0)
-        for name in ("misses", "wall_hits", "wall_misses", "tensor_hits", "tensor_misses")
+        for name in ("hits", "misses", "tensor_hits", "tensor_misses")
     }
-    assert delta == {
-        "misses": 2, "wall_hits": 1, "wall_misses": 1, "tensor_hits": 1, "tensor_misses": 1,
-    }
+    assert delta == {"hits": 1, "misses": 1, "tensor_hits": 1, "tensor_misses": 1}
     # A tensor hit still builds a basis, and the wall part is traced once.
     assert after.get("core.basis.traces", 0) - before.get("core.basis.traces", 0) == 2
     traces = after.get("em.raytracer.traces", 0) - before.get("em.raytracer.traces", 0)
@@ -129,14 +124,13 @@ def _variant(change: str):
     return Testbed(scene, array), setup.tx_device, setup.rx_device
 
 
-#: change -> (ambient hits, wall-part hits, tensor hits) on a second build
-#: in one cache; the wall part is looked up only when the ambient misses.
+#: change -> (wall-part hits, tensor hits) on a second build in one cache.
 CHANGES = {
-    "obstacle": (0, 0, 0),
-    "wall": (0, 0, 0),
-    "material": (0, 0, 1),
-    "element": (1, None, 0),
-    "scatterers": (0, 1, 1),
+    "obstacle": (0, 0),
+    "wall": (0, 0),
+    "material": (0, 1),
+    "element": (1, 0),
+    "scatterers": (1, 1),
 }
 
 
@@ -145,11 +139,9 @@ def test_a_change_misses_exactly_the_parts_that_read_it(change):
     cache = trace_cache.reset()
     _build(_variant("none"))
     basis = _build(_variant(change))
-    hits, wall_hits, tensor_hits = CHANGES[change]
-    wall_misses = 1 if wall_hits is None else 2 - wall_hits
+    hits, tensor_hits = CHANGES[change]
     assert _counts(cache) == {
-        "hits": hits, "misses": 2 - hits, "wall_hits": wall_hits or 0,
-        "wall_misses": wall_misses, "tensor_hits": tensor_hits, "tensor_misses": 2 - tensor_hits,
+        "hits": hits, "misses": 2 - hits, "tensor_hits": tensor_hits, "tensor_misses": 2 - tensor_hits,
     }
     trace_cache.reset()
     assert _shas(basis) == _shas(_build(_variant(change)))
@@ -217,7 +209,7 @@ def test_many_distinct_arrays_do_not_all_stay_cached():
 def test_reset_empties_every_entry_kind():
     cache = trace_cache.reset()
     basis = _build(_variant("none"))
-    assert len(cache) == 3  # the wall part, the ambient trace and the tensor
+    assert len(cache) == 2  # the wall part and the tensor
     tensor = weakref.ref(basis.state_tensor)
     trace_cache.reset()
     assert len(cache) == 0 and cache.current_bytes == 0
@@ -226,4 +218,4 @@ def test_reset_empties_every_entry_kind():
     assert tensor() is None
     fresh = trace_cache.global_trace_cache()
     _build(_variant("none"))
-    assert (fresh.wall_misses, fresh.tensor_misses) == (1, 1)
+    assert (fresh.misses, fresh.tensor_misses) == (1, 1)
